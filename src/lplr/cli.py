@@ -23,10 +23,11 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import LplrError
-from .factor import Method, low_rank
+from .factor import Method, l2_svd, low_rank, orient, truncate_factorization
 from .lowner import LevelSet, LownerConfig, contracted_vertices, lowner
+from .lpsvd import lp_svd, lp_svd_randomized, sandwich_check
 from .matio import load_matrix, store_matrix
-from .report import evaluate, report_to_json
+from .report import _build_report, evaluate, report_to_json
 from .rng import philox
 from .synth import SyntheticSpec, generate_synthetic
 
@@ -152,26 +153,34 @@ def _cmd_baseline(args) -> int:
 
 
 def _sweep_job(payload):
-    """One (p, method) factorization, truncated at every requested k."""
-    a, ks, p, method, seed = payload
-    from .factor import l2_low_rank, lp_svd, lp_svd_randomized, truncate_factorization
-    from .factor import orient as orient_input
+    """One (p, method) factorization, truncated at every requested k.
 
-    oriented, transposed = orient_input(a)
+    The SVD of the oriented input and the sandwich check of the factorization
+    do not depend on k, so they are computed once and shared by every row.
+    A row's wall time is the factorization time plus that rank's truncation
+    time; for svd rows the shared SVD is the factorization.
+    """
+    a, ks, p, method, seed = payload
+    oriented, transposed = orient(a)
     start = time.perf_counter()
     if method is Method.SVD:
-        fac = None
+        fac = l2_svd(oriented)
     elif method is Method.RANDOMIZED:
         fac = lp_svd_randomized(oriented, p, seed=seed)
     else:
         fac = lp_svd(oriented, p, cfg=LownerConfig())
     base_ms = (time.perf_counter() - start) * 1e3
+    svd_fac = fac if method is Method.SVD else l2_svd(oriented)
+    # The transposed view, not the contiguous copy: it is the array evaluate()
+    # reads, and the two can round differently in the sandwich products.
+    sandwich = sandwich_check(a.T if transposed else a, p, fac.D, fac.V)
     out = []
     for k in ks:
         t0 = time.perf_counter()
-        approx = l2_low_rank(a, k) if fac is None else truncate_factorization(fac, k, transposed)
-        report = evaluate(a, approx, p, wall_time_ms=base_ms + (time.perf_counter() - t0) * 1e3, seed=seed)
-        out.append(asdict(report))
+        approx = truncate_factorization(fac, k, transposed)
+        wall_ms = base_ms + (time.perf_counter() - t0) * 1e3
+        baseline = truncate_factorization(svd_fac, k, transposed)
+        out.append(asdict(_build_report(a, approx, p, baseline, sandwich, wall_ms, seed)))
     return out
 
 

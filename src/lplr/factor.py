@@ -145,14 +145,22 @@ def lp_low_rank(a, k: int, p: float, method: Method = Method.LOWNER, seed: int =
     return _truncate(fac, k, method, transposed)
 
 
+def l2_svd(a) -> LpSvd:
+    """The classical SVD of a tall matrix as an LpSvd (p = 2, distortion 1).
+
+    Truncating it at k gives the optimal rank-k Frobenius approximation, so one
+    call serves every rank of a sweep.
+    """
+    u, s, v = svd(a)
+    return LpSvd(U=u, D=s, V=v, p=2.0, distortion=1.0, method=Method.SVD.value,
+                 iterations={"central": 0, "shallow": 0, "refine": 0})
+
+
 def l2_low_rank(a, k: int) -> RankKApprox:
     """Optimal rank-k Frobenius approximation via truncated SVD."""
     oriented, transposed = orient(a)
     _check_rank(k, oriented.shape[1])
-    u, s, v = svd(oriented)
-    fac = LpSvd(U=u, D=s, V=v, p=2.0, distortion=1.0, method=Method.SVD.value,
-                iterations={"central": 0, "shallow": 0, "refine": 0})
-    return _truncate(fac, k, Method.SVD, transposed)
+    return _truncate(l2_svd(oriented), k, Method.SVD, transposed)
 
 
 def low_rank(a, k: int, p: float, method: Method | str, seed: int = 0, cfg: LownerConfig | None = None) -> RankKApprox:

@@ -45,6 +45,28 @@ from .errors import (
 from .matcore import as_matrix, as_vector, cholesky, frozen, svd, vector_pnorm
 from .rng import philox
 
+#: Directions per block in the batched norm sweeps, which bounds their n x block
+#: temporaries on tall inputs.  The remainder joins the last block: with OpenBLAS
+#: 0.3.31 at one thread, blocks of 256 plus a tail of at least 256 reproduced the
+#: single product bit for bit on every C-ordered shape tried, while a narrow tail
+#: block often changed the last bit (the GEMM kernel depends on the block's shape).
+DIRECTION_BLOCK = 256
+
+
+def pnorms(a: np.ndarray, p: float, points: np.ndarray) -> np.ndarray:
+    """||A x||_p for each row x of ``points``, in direction blocks when there are many."""
+    points = np.atleast_2d(points)
+    count = points.shape[0]
+    if count >= 2 * DIRECTION_BLOCK:
+        cuts = list(range(0, count - DIRECTION_BLOCK + 1, DIRECTION_BLOCK)) + [count]
+        return np.concatenate([pnorms(a, p, points[i:j]) for i, j in zip(cuts, cuts[1:])])
+    y = np.abs(a @ points.T)
+    if p == 1:
+        return y.sum(axis=0)
+    if p == 2:
+        return np.sqrt((y * y).sum(axis=0))
+    return (y**p).sum(axis=0) ** (1.0 / p)
+
 
 @dataclass(frozen=True)
 class LevelSet:
@@ -75,12 +97,7 @@ class LevelSet:
 
     def norms(self, points: np.ndarray) -> np.ndarray:
         """||A x||_p for each row of ``points``."""
-        y = np.abs(self.a @ np.atleast_2d(points).T)
-        if self.p == 1:
-            return y.sum(axis=0)
-        if self.p == 2:
-            return np.sqrt((y * y).sum(axis=0))
-        return (y**self.p).sum(axis=0) ** (1.0 / self.p)
+        return pnorms(self.a, self.p, points)
 
     def boundary(self, directions: np.ndarray) -> np.ndarray:
         """Scale each row direction onto the boundary ||Ax||_p = 1."""
@@ -130,7 +147,6 @@ class LownerConfig:
     contraction: str = "inv-d"
     vertex_tol: float = 1e-7
     center_tol: float = 1e-8
-    symmetrize: bool = True
     max_cuts: int | None = None  # default 200 d^2
     phase1_cuts: int | None = None  # default min(max_cuts, 8 d^2)
     refine_tol: float = 5e-3
@@ -295,9 +311,7 @@ def _cut_phase(level: LevelSet, cfg: LownerConfig):
     while central + shallow < budget:
         if not member(level, e.center, cfg.vertex_tol):
             g = subgradient(level, e.center)
-            e = central_cut(e, g / np.max(np.abs(g)))
-            if cfg.symmetrize:
-                e = _recentered(e)
+            e = _recentered(central_cut(e, g / np.max(np.abs(g))))
             central += 1
             dets.append(float(np.linalg.slogdet(e.shape)[1]))
             continue
@@ -315,9 +329,7 @@ def _cut_phase(level: LevelSet, cfg: LownerConfig):
             # The fixed shallow cut would clip the supporting slab |g.x| <= 1,
             # which is tight on L; stop cutting and let refinement take over.
             break
-        e = shallow_cut(e, g / np.max(np.abs(g)))
-        if cfg.symmetrize:
-            e = _recentered(e)
+        e = _recentered(shallow_cut(e, g / np.max(np.abs(g))))
         shallow += 1
         dets.append(float(np.linalg.slogdet(e.shape)[1]))
     return _recentered(e), central, shallow, dets, contacts

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooSmall, RankDeficient, ShapeMismatch, SvdFailure
-from .lowner import LevelSet, LownerConfig, _ascend, lowner
+from .lowner import LevelSet, LownerConfig, _ascend, lowner, pnorms
 from .matcore import as_matrix, frozen, qr, svd
 from .rng import philox
 
 _SAMPLE_STREAM = 101
 _DESCENT_STREAM = 707
+_SKETCH_ATTEMPTS = 4  # sketch streams 0..3, tried in turn until one has full rank
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> 
     level = LevelSet(a, p)  # validates rank and p
 
     r = None
-    for attempt in range(4):
+    for attempt in range(_SKETCH_ATTEMPTS):
         rng = philox(seed, stream=attempt)
         sa = _sketch(a, p, rng, sketch)
         try:
@@ -150,7 +151,7 @@ def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> 
         except RankDeficient:
             r = None
     if r is None:
-        raise RankDeficient("sketched matrix was rank deficient after 3 retries")
+        raise RankDeficient(f"sketched matrix was rank deficient in all {_SKETCH_ATTEMPTS} sketch attempts")
 
     probes = philox(seed, stream=_SAMPLE_STREAM).standard_normal((1000, d))
     num = level.norms(probes)
@@ -194,8 +195,9 @@ def sandwich_check(a, p: float, d_diag, v, num_samples: int = 1000, seed: int = 
     """Extremes of ||Ax||_p / ||D V^T x||_2 over sampled directions.
 
     Directions are ``num_samples`` Gaussian draws plus the 2d contracted
-    vertex directions (the +-columns of V).  For a valid factorization the
-    returned pair satisfies lo >= 1 and hi <= sqrt(d) up to solver slack.
+    vertex directions (the +-columns of V), evaluated in direction blocks.
+    For a valid factorization the returned pair satisfies lo >= 1 and
+    hi <= sqrt(d) up to solver slack.
     """
     a = as_matrix(a, "a")
     d_diag = np.asarray(d_diag, dtype=float).reshape(-1)
@@ -205,8 +207,5 @@ def sandwich_check(a, p: float, d_diag, v, num_samples: int = 1000, seed: int = 
         raise ShapeMismatch("inconsistent shapes between a, d_diag, and v")
     dirs = philox(seed, stream=0).standard_normal((num_samples, d))
     dirs = np.concatenate([dirs, v.T, -v.T], axis=0)
-    y = np.abs(a @ dirs.T)
-    num = y.sum(axis=0) if p == 1 else (y**p).sum(axis=0) ** (1.0 / p)
-    den = np.linalg.norm((dirs @ v) * d_diag[None, :], axis=1)
-    ratios = num / den
+    ratios = pnorms(a, p, dirs) / np.linalg.norm((dirs @ v) * d_diag[None, :], axis=1)
     return float(ratios.min()), float(ratios.max())

@@ -148,8 +148,3 @@ def qr(a) -> tuple[np.ndarray, np.ndarray]:
     if np.min(np.diag(r)) < 1e-12 * np.linalg.norm(m):
         raise RankDeficient("matrix is (numerically) rank deficient")
     return q, r
-
-
-def smallest_singular_value(a) -> float:
-    m = as_matrix(a, "a")
-    return float(np.linalg.svd(m, compute_uv=False)[-1])

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from .errors import InvalidRank, NotCompressing, ShapeMismatch
 from .factor import RankKApprox, assemble, error_bounds, l2_low_rank
 from .lpsvd import sandwich_check
@@ -54,18 +56,44 @@ def compression_rate(n: int, d: int, k: int) -> float:
 def evaluate(a, approx: RankKApprox, p: float, wall_time_ms: float = 0.0, seed: int = 0) -> EvalReport:
     """Score an approximation of ``a`` under the entry-wise p-norm."""
     a = as_matrix(a, "a")
-    recon = assemble(approx)
-    if recon.shape != a.shape:
-        raise ShapeMismatch(f"approximation shape {recon.shape} does not match input {a.shape}")
+    oriented = _oriented_input(a, approx)
+    baseline = l2_low_rank(a, approx.k)
+    sandwich = sandwich_check(oriented, p, approx.sigmas, approx.full_v)
+    return _build_report(a, approx, p, baseline, sandwich, wall_time_ms, seed)
+
+
+def _oriented_input(a: np.ndarray, approx: RankKApprox) -> np.ndarray:
+    """``a`` as its factorization saw it: a transposed view of a wide input."""
+    shape = (approx.left.shape[0], approx.right.shape[1])
+    if approx.transposed:
+        shape = shape[::-1]
+    if shape != a.shape:
+        raise ShapeMismatch(f"approximation shape {shape} does not match input {a.shape}")
+    return a.T if approx.transposed else a
+
+
+def _build_report(
+    a: np.ndarray,
+    approx: RankKApprox,
+    p: float,
+    baseline: RankKApprox,
+    sandwich: tuple[float, float],
+    wall_time_ms: float,
+    seed: int,
+) -> EvalReport:
+    """The report of ``approx`` given the rank-k SVD ``baseline`` of ``a`` and the sandwich pair.
+
+    The SVD and ``sandwich_check`` of a factorization do not depend on the
+    rank, so a sweep computes them once and passes them here for every rank;
+    :func:`evaluate` computes both fresh.  Both errors are summed over ``a``
+    in its own layout, so an svd row's two errors agree bit for bit.
+    """
     d = int(approx.sigmas.shape[0])
     n = a.size // d
-    oriented = a.T if approx.transposed else a
-
-    error_pp = entrywise_pnorm_pow(a - recon, p)
-    baseline = l2_low_rank(oriented, approx.k)
-    error_l2 = entrywise_pnorm_pow(oriented - assemble(baseline), p)
+    error_pp = entrywise_pnorm_pow(a - assemble(approx), p)
+    error_l2 = entrywise_pnorm_pow(a - assemble(baseline), p)
     bounds = error_bounds(approx.sigmas, approx.k, p, d, n, approx.method)
-    lo, hi = sandwich_check(oriented, p, approx.sigmas, approx.full_v)
+    lo, hi = sandwich
     return EvalReport(
         n=n,
         d=d,

@@ -1,11 +1,14 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from lplr.cli import main
+from lplr.factor import low_rank
 from lplr.matio import load_matrix, store_matrix
-from lplr.report import report_from_json, reports_equal_modulo_time
+from lplr.report import evaluate, report_from_json, reports_equal_modulo_time
+from lplr.synth import SyntheticSpec, generate_synthetic
 
 
 @pytest.fixture
@@ -132,3 +135,44 @@ def test_cli_determinism_modulo_wall_time(tmp_path, synth_file):
 
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 1
+
+
+def _sweep_rows(tmp_path, a, workers):
+    path, rep_path = tmp_path / "in.lplr", tmp_path / f"sweep{workers}.json"
+    store_matrix(path, a)
+    code = main(
+        [
+            "sweep", "--input", str(path), "--ks", "2,5", "--ps", "1,2",
+            "--methods", "lowner,randomized,svd", "--seed", "5",
+            "--workers", str(workers), "--report", str(rep_path),
+        ]
+    )
+    assert code == 0
+    return json.loads(rep_path.read_text())
+
+
+@pytest.fixture(scope="module")
+def tall_matrix():
+    # With this seed the wide case's sandwich ratios round differently on the
+    # transposed view and on a contiguous copy, so the test sees which one a
+    # sweep reads.
+    spec = SyntheticSpec(n=40, d=9, k_true=2, outlier_fraction=0.05, noise_sigma=0.01, outlier_scale=20.0, seed=9)
+    return generate_synthetic(spec)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("orientation", ["tall", "wide"])
+def test_sweep_rows_equal_evaluate(tmp_path, tall_matrix, orientation, workers):
+    # The sweep shares one SVD and one sandwich check across ranks; every row
+    # must still be the report evaluate() gives for the same (k, p, method).
+    a = tall_matrix if orientation == "tall" else np.ascontiguousarray(tall_matrix.T)
+    rows = _sweep_rows(tmp_path, a, workers)
+    assert len(rows) == 12
+    for row in rows:
+        approx = low_rank(a, row["k"], row["p"], row["method"], seed=5)
+        expected = asdict(evaluate(a, approx, row["p"], seed=5))
+        expected.pop("wall_time_ms")
+        assert row.pop("wall_time_ms") >= 0.0
+        assert row == expected
+        if row["method"] == "svd":
+            assert row["error_pp"] == row["error_l2_baseline"]

@@ -3,6 +3,7 @@ import pytest
 
 from lplr.errors import DimensionTooSmall, NoConvergence, RankDeficient, ZeroGradient
 from lplr.lowner import (
+    DIRECTION_BLOCK,
     Ellipsoid,
     LevelSet,
     LownerConfig,
@@ -41,6 +42,23 @@ def test_level_set_is_centrally_symmetric():
     for _ in range(50):
         x = rng.normal(size=3)
         assert member(level, x) == member(level, -x)
+
+
+# The conditioner's 1000 probes and certification's 4096 samples take the blocked path.
+@pytest.mark.parametrize("count", [2 * DIRECTION_BLOCK, 1000, 4096])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+def test_level_set_norms_blocks_match_one_product(count, p):
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(2000, 16))
+    pts = rng.normal(size=(count, 16))
+    y = np.abs(a @ pts.T)
+    if p == 1:
+        expected = y.sum(axis=0)
+    elif p == 2:
+        expected = np.sqrt((y * y).sum(axis=0))
+    else:
+        expected = (y**p).sum(axis=0) ** (1.0 / p)
+    np.testing.assert_array_equal(LevelSet(a, p).norms(pts), expected)
 
 
 class TestInitialBall:

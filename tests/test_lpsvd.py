@@ -3,15 +3,27 @@ import time
 import numpy as np
 import pytest
 
+from lplr import lpsvd
 from lplr.errors import RankDeficient, ShapeMismatch
-from lplr.lowner import LevelSet, LownerConfig
+from lplr.lowner import DIRECTION_BLOCK, LevelSet, LownerConfig
 from lplr.lpsvd import lp_svd, lp_svd_randomized, randomized_conditioner, sandwich_check
+from lplr.rng import philox
 
 from oracles import mvee_axis_reciprocals
 
 
 def ratio_samples(a, p, d_diag, v, xs):
     return LevelSet(a, p).norms(xs) / np.linalg.norm((xs @ v) * d_diag, axis=1)
+
+
+def one_product_sandwich(a, p, d_diag, v, num_samples=1000, seed=424242):
+    """sandwich_check's ratios from a single product over all directions."""
+    dirs = philox(seed, stream=0).standard_normal((num_samples, v.shape[0]))
+    dirs = np.concatenate([dirs, v.T, -v.T], axis=0)
+    y = np.abs(a @ dirs.T)
+    num = y.sum(axis=0) if p == 1 else (y**p).sum(axis=0) ** (1.0 / p)
+    ratios = num / np.linalg.norm((dirs @ v) * d_diag[None, :], axis=1)
+    return float(ratios.min()), float(ratios.max())
 
 
 class TestLpSvd:
@@ -93,6 +105,18 @@ class TestRandomizedConditioner:
         np.testing.assert_array_equal(c1.R, c2.R)
         assert c1.distortion == c2.distortion
 
+    def test_sketch_failure_counts_every_attempt(self, monkeypatch):
+        calls = []
+
+        def deficient(m):
+            calls.append(m.shape)
+            raise RankDeficient("forced")
+
+        monkeypatch.setattr(lpsvd, "qr", deficient)
+        with pytest.raises(RankDeficient, match="in all 4 sketch attempts"):
+            randomized_conditioner(np.random.default_rng(15).normal(size=(50, 4)), 1.0)
+        assert len(calls) == 4
+
     def test_distortion_finite_and_reported(self):
         a = np.random.default_rng(9).normal(size=(400, 6))
         for p in (1.0, 1.5, 2.0, 3.0):
@@ -154,3 +178,15 @@ class TestSandwichCheck:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             sandwich_check(np.eye(3), 1.0, np.ones(2), np.eye(2))
+
+    # 1000 + 2d directions: 1064, 1032, 1016 and 1014, none a whole number of blocks.
+    @pytest.mark.parametrize("n,d", [(2000, 32), (2000, 16), (200, 8), (61, 7)])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("layout", ["rows", "transposed view"])
+    def test_blocks_match_one_product_bit_for_bit(self, n, d, p, layout):
+        assert (1000 + 2 * d) % DIRECTION_BLOCK != 0
+        a = np.random.default_rng(16).normal(size=(n, d))
+        if layout == "transposed view":
+            a = np.ascontiguousarray(a.T).T  # what evaluate() hands over for a wide input
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
+        assert sandwich_check(a, p, s, vt.T) == one_product_sandwich(a, p, s, vt.T)
