@@ -8,12 +8,16 @@ ellipsoid, hence ||D V^T x||_2 <= ||Ax||_p <= sqrt(d) ||D V^T x||_2.
 
 :func:`lowner` runs two stages:
 
-1. an ellipsoid-method cut loop: classic central cuts while the center is
-   outside L, then shallow cuts driven by the vertices of the contracted
-   iterate.  Fixed-margin shallow cuts are applied only while provably safe
-   (the kept half-space must cover the supporting slab |g.x| <= 1, which is
-   tight for the subgradient g at an escaped vertex); every cut strictly
-   shrinks det(F) and keeps L enclosed.
+1. an ellipsoid-method cut loop: shallow cuts driven by the vertices of the
+   contracted iterate.  The iterate starts as a ball around the origin and is
+   recentered at the origin after every cut, so its center never leaves L and
+   no central cut is ever needed.  Fixed-margin shallow cuts are applied only
+   while provably safe (the kept half-space must cover the supporting slab
+   |g.x| <= 1, which is tight for the subgradient g at an escaped vertex);
+   every cut strictly shrinks det(F) and keeps L enclosed.  The loop works on
+   the raw shape matrix: each iterate is checked through the eigendecomposition
+   and log-determinant the loop computes anyway, and only the returned one
+   goes through the validating :class:`Ellipsoid` constructor.
 2. a log-det refinement: column generation over boundary contact points.
    Frank-Wolfe steps (with away steps) maximize log det of the weighted
    scatter of the working set, while a multi-start ascent oracle hunts the
@@ -176,6 +180,9 @@ class LownerResult:
     certified enclosing ellipsoid itself (origin-centered).  ``logdet_trace``
     records ln det(F) after the initial ball and after every cut; the raw
     determinant underflows float64 for thin high-dimensional level sets.
+    The cut iterate is recentered at the origin after every cut, so the cut
+    stage makes only shallow cuts and ``iterations_central`` is always 0; the
+    field stays because the report schema carries it.
     """
 
     D: np.ndarray
@@ -229,8 +236,8 @@ def subgradient(level: LevelSet, x) -> np.ndarray:
     return (norm ** (1.0 - level.p)) * (level.a.T @ weights)
 
 
-def _cut_vector(e: Ellipsoid, h: np.ndarray) -> np.ndarray:
-    fh = e.shape @ h
+def _cut_vector(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    fh = f @ h
     hfh = float(h @ fh)
     if hfh <= 0.0:
         raise NotPositiveDefinite("H^T F H <= 0; shape matrix lost definiteness")
@@ -243,10 +250,25 @@ def central_cut(e: Ellipsoid, h) -> Ellipsoid:
     if not np.any(h):
         raise ShapeMismatch("cut direction must be nonzero")
     d = e.dim
-    b = _cut_vector(e, h)
+    b = _cut_vector(e.shape, h)
     center = e.center - b / (d + 1.0)
     shape = (d * d / (d * d - 1.0)) * (e.shape - (2.0 / (d + 1.0)) * np.outer(b, b))
     return Ellipsoid(center, shape)
+
+
+def _shallow_update(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shallow cut of the shape matrix F along h: returns (F', b), unvalidated.
+
+    F' = zeta sigma (F - tau b b^T) with b = F h / sqrt(h^T F h), and the
+    center moves by -z b (coefficients as in :func:`shallow_cut`).  Requires
+    d >= 2.
+    """
+    d = f.shape[0]
+    sigma = d**3 * (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0))
+    zeta = 1.0 + 1.0 / (2.0 * d * d * (d + 1.0) ** 2)
+    tau = 2.0 / (d * (d + 1.0))
+    b = _cut_vector(f, h)
+    return zeta * sigma * (f - tau * np.outer(b, b)), b
 
 
 def shallow_cut(e: Ellipsoid, h) -> Ellipsoid:
@@ -262,38 +284,39 @@ def shallow_cut(e: Ellipsoid, h) -> Ellipsoid:
     if d < 2:
         raise DimensionTooSmall("shallow cuts require dimension >= 2")
     z = 1.0 / (d + 1.0) ** 2
-    sigma = d**3 * (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0))
-    zeta = 1.0 + 1.0 / (2.0 * d * d * (d + 1.0) ** 2)
-    tau = 2.0 / (d * (d + 1.0))
-    b = _cut_vector(e, h)
-    shape = zeta * sigma * (e.shape - tau * np.outer(b, b))
-    center = e.center - z * b
-    return Ellipsoid(center, shape)
+    shape, b = _shallow_update(e.shape, h)
+    return Ellipsoid(e.center - z * b, shape)
 
 
-def contracted_vertices(e: Ellipsoid, factor: float) -> np.ndarray:
-    """Vertices of factor * (E - c) + c: the 2d points c +- factor sqrt(l_i) q_i."""
+def _vertices(center: np.ndarray, f: np.ndarray, factor: float) -> np.ndarray:
+    """The 2d vertices c +- factor sqrt(l_i) q_i; rejects an F with a non-positive eigenvalue."""
     try:
-        eigvals, eigvecs = np.linalg.eigh(e.shape)
+        eigvals, eigvecs = np.linalg.eigh(f)
     except np.linalg.LinAlgError as exc:
         raise SvdFailure(f"eigendecomposition of the shape matrix failed: {exc}") from None
     if eigvals[0] <= 0:
         raise NotPositiveDefinite("shape matrix has non-positive eigenvalue")
     axes = factor * np.sqrt(eigvals)[None, :] * eigvecs  # column i spans axis i
-    return np.concatenate([e.center + axes.T, e.center - axes.T], axis=0)
+    return np.concatenate([center + axes.T, center - axes.T], axis=0)
 
 
-def _recentered(e: Ellipsoid) -> Ellipsoid:
-    # For centrally symmetric L contained in E(F, c), both x and -x lie in E,
-    # and averaging the two quadratic forms gives x^T F^-1 x <= 1 - c^T F^-1 c.
-    # Moving the center to the origin therefore preserves the enclosure.
-    if not np.any(e.center):
-        return e
-    return Ellipsoid(np.zeros(e.dim), e.shape)
+def contracted_vertices(e: Ellipsoid, factor: float) -> np.ndarray:
+    """Vertices of factor * (E - c) + c: the 2d points c +- factor sqrt(l_i) q_i."""
+    return _vertices(e.center, e.shape, factor)
 
 
 def _cut_phase(level: LevelSet, cfg: LownerConfig):
-    """Ellipsoid-method stage: returns (ellipsoid, central, shallow, dets, contacts)."""
+    """Ellipsoid-method stage: returns (ellipsoid, central, shallow, dets, contacts).
+
+    The iterate is recentered at the origin after every cut.  For centrally
+    symmetric L inside E(F, c), both x and -x lie in E, and averaging the two
+    quadratic forms gives x^T F^-1 x <= 1 - c^T F^-1 c, so the move preserves
+    the enclosure.  The center therefore stays in L, every cut is a shallow
+    cut and ``central`` is 0.  The iterate is a raw symmetric matrix F: the
+    eigh of the vertex test rejects a non-positive eigenvalue, the slogdet
+    recorded in ``dets`` rejects a non-positive or non-finite determinant,
+    and the returned F goes through the validating Ellipsoid constructor.
+    """
     n, d = level.a.shape
     gamma = cfg.contraction_factor(d)
     budget_total = cfg.max_cuts if cfg.max_cuts is not None else 200 * d * d
@@ -304,18 +327,13 @@ def _cut_phase(level: LevelSet, cfg: LownerConfig):
         # shrinks ln det(F) by ~1/(2 d^3), so on large instances the flop
         # allowance hands over to the refinement stage early.
         budget = min(budget_total, 8 * d * d, max(32, int(2e8 / (4.0 * n * d * d))))
-    e = initial_ball(level)
-    dets = [float(np.linalg.slogdet(e.shape)[1])]
+    f = initial_ball(level).shape
+    dets = [float(np.linalg.slogdet(f)[1])]
     contacts: list[np.ndarray] = []
-    central = shallow = 0
-    while central + shallow < budget:
-        if not member(level, e.center, cfg.vertex_tol):
-            g = subgradient(level, e.center)
-            e = _recentered(central_cut(e, g / np.max(np.abs(g))))
-            central += 1
-            dets.append(float(np.linalg.slogdet(e.shape)[1]))
-            continue
-        verts = contracted_vertices(e, gamma)
+    origin = np.zeros(d)
+    shallow = 0
+    while shallow < budget:
+        verts = _vertices(origin, f, gamma)
         norms = level.norms(verts)
         worst = int(np.argmax(norms))
         if norms[worst] <= 1.0 + cfg.vertex_tol:
@@ -323,16 +341,19 @@ def _cut_phase(level: LevelSet, cfg: LownerConfig):
         v = verts[worst]
         contacts.append(v / norms[worst])
         g = subgradient(level, v)
-        gfg = float(g @ (e.shape @ g))
-        margin = float(g @ e.center) + math.sqrt(max(gfg, 0.0)) / (d + 1.0)
-        if margin < 1.0:
+        gfg = float(g @ (f @ g))
+        if math.sqrt(max(gfg, 0.0)) / (d + 1.0) < 1.0:
             # The fixed shallow cut would clip the supporting slab |g.x| <= 1,
             # which is tight on L; stop cutting and let refinement take over.
             break
-        e = _recentered(shallow_cut(e, g / np.max(np.abs(g))))
+        f, _ = _shallow_update(f, g / np.max(np.abs(g)))
+        f = 0.5 * (f + f.T)
+        sign, logdet = np.linalg.slogdet(f)
+        if sign <= 0 or not np.isfinite(logdet):
+            raise NotPositiveDefinite(f"shape matrix determinant is not positive (sign {sign}, log {logdet})")
         shallow += 1
-        dets.append(float(np.linalg.slogdet(e.shape)[1]))
-    return _recentered(e), central, shallow, dets, contacts
+        dets.append(float(logdet))
+    return Ellipsoid(origin, f), 0, shallow, dets, contacts
 
 
 def _fw_sweep(points: np.ndarray, w: np.ndarray, tol: float, budget: int):
@@ -378,7 +399,7 @@ def _fw_sweep(points: np.ndarray, w: np.ndarray, tol: float, budget: int):
         lev = (lev - (lam / denom) * z * z) / (1.0 - lam)
         w *= 1.0 - lam
         w[j] += lam
-        np.clip(w, 0.0, None, out=w)
+        np.maximum(w, 0.0, out=w)
         steps += 1
         if steps % 512 == 0:
             w /= w.sum()
@@ -461,7 +482,7 @@ def _mvee_weights(points: np.ndarray, w: np.ndarray, tol: float, max_steps: int)
         for _ in range(40):
             w = w_old.copy()
             w[support] += t * delta
-            np.clip(w, 0.0, None, out=w)
+            np.maximum(w, 0.0, out=w)
             w /= w.sum()
             if logdet() >= base - 1e-14:
                 improved = True

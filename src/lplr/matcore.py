@@ -3,7 +3,7 @@
 Matrices are plain 2-D float64 ``numpy`` arrays in row-major order; diagonal
 matrices travel as 1-D arrays of their entries.  The functions here wrap
 ``numpy.linalg`` with the contracts the rest of the library relies on:
-orientation preconditions, conditioning caps, sign conventions, and typed
+orientation preconditions, rank thresholds, sign conventions, and typed
 errors instead of bare ``LinAlgError``.
 
 Everything is pure: inputs are never mutated and returned arrays are fresh.
@@ -18,12 +18,8 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficient,
     ShapeMismatch,
-    SingularMatrix,
     SvdFailure,
 )
-
-#: Condition-number cap above which invert() refuses to proceed.
-DEFAULT_COND_CAP = 1e12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -110,24 +106,6 @@ def cholesky(f) -> np.ndarray:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("matrix has a non-positive pivot; not positive definite") from None
-
-
-def invert(m, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
-    """Inverse of a square matrix with conditioning guard.
-
-    Raises SingularMatrix when the condition number exceeds ``cond_cap`` or
-    when the multiply-back residual max|M M^-1 - I| exceeds 1e-8.
-    """
-    a = as_matrix(m, "m")
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"invert expects a square matrix, got {a.shape}")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= 0.0 or s[0] / s[-1] > cond_cap:
-        raise SingularMatrix(f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds cap {cond_cap:.1e}")
-    inv = np.linalg.solve(a, np.eye(a.shape[0]))
-    if np.max(np.abs(a @ inv - np.eye(a.shape[0]))) > 1e-8:
-        raise SingularMatrix("inverse failed the multiply-back check")
-    return inv
 
 
 def qr(a) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,21 @@
 """Independent oracles used to derive expected values in the test suite.
 
-None of these call back into ``lplr``'s numerical paths: eigenvalues come
-from a classical Jacobi rotation sweep, Cholesky from textbook elimination,
-gradients from central finite differences, and minimum-volume enclosing
-ellipsoids from a plain Khachiyan iteration on an explicit point set.
+Apart from ``reference_cut_loop``, none of these call back into ``lplr``'s
+numerical paths: eigenvalues come from a classical Jacobi rotation sweep,
+Cholesky from textbook elimination, gradients from central finite
+differences, and minimum-volume enclosing ellipsoids from a plain Khachiyan
+iteration on an explicit point set.  ``reference_cut_loop`` is the cut stage
+composed only of the public, validating ellipsoid primitives, against which
+the raw-array loop in ``lplr.lowner`` is compared bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from lplr.lowner import Ellipsoid, contracted_vertices, initial_ball, shallow_cut, subgradient
 
 
 def pnorm_pow_loops(a, p):
@@ -125,3 +132,41 @@ def best_projection_residual_sq(a, k, trials, seed):
         resid = a - (a @ q) @ q.T
         best = min(best, float(np.sum(resid * resid)))
     return best
+
+
+def reference_cut_loop(level, cfg):
+    """The shallow-cut stage built from validated Ellipsoid iterates.
+
+    Every cut goes through ``shallow_cut`` and is recentered at the origin by
+    constructing ``Ellipsoid(0, shape)``, so each iterate passes the
+    constructor's Cholesky and determinant checks.  Returns (ellipsoid,
+    shallow cuts, ln det trace, contact points).
+    """
+    n, d = level.a.shape
+    gamma = cfg.contraction_factor(d)
+    budget_total = cfg.max_cuts if cfg.max_cuts is not None else 200 * d * d
+    if cfg.phase1_cuts is not None:
+        budget = min(budget_total, cfg.phase1_cuts)
+    else:
+        budget = min(budget_total, 8 * d * d, max(32, int(2e8 / (4.0 * n * d * d))))
+    e = initial_ball(level)
+    dets = [float(np.linalg.slogdet(e.shape)[1])]
+    contacts = []
+    cuts = 0
+    while cuts < budget:
+        verts = contracted_vertices(e, gamma)
+        norms = level.norms(verts)
+        worst = int(np.argmax(norms))
+        if norms[worst] <= 1.0 + cfg.vertex_tol:
+            break
+        v = verts[worst]
+        contacts.append(v / norms[worst])
+        g = subgradient(level, v)
+        gfg = float(g @ (e.shape @ g))
+        margin = float(g @ e.center) + math.sqrt(max(gfg, 0.0)) / (d + 1.0)
+        if margin < 1.0:
+            break
+        e = Ellipsoid(np.zeros(d), shallow_cut(e, g / np.max(np.abs(g))).shape)
+        cuts += 1
+        dets.append(float(np.linalg.slogdet(e.shape)[1]))
+    return e, cuts, dets, contacts

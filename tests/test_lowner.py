@@ -1,7 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from lplr.errors import DimensionTooSmall, NoConvergence, RankDeficient, ZeroGradient
+from lplr import SyntheticSpec, generate_synthetic
+from lplr.errors import DimensionTooSmall, NoConvergence, NotPositiveDefinite, RankDeficient, ZeroGradient
 from lplr.lowner import (
     DIRECTION_BLOCK,
     Ellipsoid,
@@ -17,7 +20,10 @@ from lplr.lowner import (
     subgradient,
 )
 
-from oracles import central_diff_grad, mvee_axis_reciprocals
+from oracles import central_diff_grad, mvee_axis_reciprocals, reference_cut_loop
+
+# The package attribute ``lplr.lowner`` is the function, not the module.
+lowner_module = importlib.import_module("lplr.lowner")
 
 
 def random_pd(rng, d, spread=1.0):
@@ -190,6 +196,68 @@ class TestContractedVertices:
         for factor in (1.0, 0.5, 1.0 / 3.0):
             verts = contracted_vertices(e, factor)
             np.testing.assert_allclose(e.quadratic_form(verts), factor**2, atol=1e-8)
+
+
+def planted(n, d, seed):
+    """Low-rank rows plus 5% outliers scaled by 20: every cut budget runs out on these."""
+    return generate_synthetic(SyntheticSpec(n=n, d=d, k_true=max(1, d // 4), outlier_fraction=0.05,
+                                            noise_sigma=0.01, outlier_scale=20.0, seed=seed))
+
+
+class TestCutPhase:
+    # Planted inputs run the loop to its cut budget; Gaussian ones mostly stop
+    # early, at the vertex test or at the margin test.
+    @pytest.mark.parametrize("kind", ["planted", "gaussian"])
+    @pytest.mark.parametrize("contraction", ["inv-d", "inv-sqrt-d"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("n_rows", ["3d", "200"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_matches_validated_reference_bit_for_bit(self, d, n_rows, p, contraction, kind):
+        n = 3 * d if n_rows == "3d" else 200
+        a = planted(n, d, 100 * d + n) if kind == "planted" else np.random.default_rng(100 * d + n).normal(size=(n, d))
+        level = LevelSet(a, p)
+        cfg = LownerConfig(contraction=contraction)
+        e, central, shallow, dets, contacts = lowner_module._cut_phase(level, cfg)
+        ref_e, ref_cuts, ref_dets, ref_contacts = reference_cut_loop(level, cfg)
+        assert central == 0
+        assert shallow == ref_cuts
+        assert e.shape.tobytes() == ref_e.shape.tobytes()
+        assert e.center.tobytes() == ref_e.center.tobytes()
+        assert np.array(dets).tobytes() == np.array(ref_dets).tobytes()
+        assert np.array(contacts).tobytes() == np.array(ref_contacts).tobytes()
+
+    @pytest.mark.parametrize("cut,corruption,check", [
+        # det stays positive at even d, so the next vertex eigh rejects it
+        (3, "negated", "non-positive eigenvalue"),
+        # the slogdet of the same cut rejects a negative or non-finite determinant
+        (3, "one negative eigenvalue", "determinant is not positive"),
+        (3, "nan", "determinant is not positive"),
+        # on the budget's last cut, the returned Ellipsoid's Cholesky rejects it
+        (6, "negated", "non-positive pivot"),
+    ])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in slogdet:RuntimeWarning")
+    def test_lost_definiteness_raises_typed_error(self, monkeypatch, cut, corruption, check):
+        real = lowner_module._shallow_update
+        calls = []
+
+        def corrupted(f, h):
+            shape, b = real(f, h)
+            calls.append(1)
+            if len(calls) == cut:
+                vals, vecs = np.linalg.eigh(shape)
+                if corruption == "negated":
+                    vals = -vals
+                elif corruption == "one negative eigenvalue":
+                    vals = np.concatenate([-vals[:1], vals[1:]])
+                else:
+                    vals = np.full_like(vals, np.nan)
+                shape = (vecs * vals) @ vecs.T
+            return shape, b
+
+        monkeypatch.setattr(lowner_module, "_shallow_update", corrupted)
+        with pytest.raises(NotPositiveDefinite, match=check):
+            lowner(planted(200, 8, 3), 1.0, LownerConfig(phase1_cuts=6))
+        assert len(calls) == cut
 
 
 class TestLowner:

@@ -9,7 +9,6 @@ from lplr.errors import (
     NotPositiveDefinite,
     RankDeficient,
     ShapeMismatch,
-    SingularMatrix,
 )
 
 from oracles import hand_cholesky, jacobi_eigvalsh, pnorm_pow_loops
@@ -107,23 +106,6 @@ class TestCholesky:
         np.fill_diagonal(g, np.abs(np.diag(g)) + 0.5)
         back = matcore.cholesky(g @ g.T)
         np.testing.assert_allclose(back, g, rtol=1e-9, atol=1e-9)
-
-
-class TestInvert:
-    def test_identity(self):
-        np.testing.assert_allclose(matcore.invert(np.eye(4)), np.eye(4))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(matcore.invert(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-
-    def test_multiply_back_residual(self):
-        a = np.eye(4) + 0.2 * np.random.default_rng(11).normal(size=(4, 4))
-        inv = matcore.invert(a)
-        assert np.max(np.abs(a @ inv - np.eye(4))) < 1e-8
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            matcore.invert(np.outer([1.0, 2.0], [3.0, 4.0]))
 
 
 class TestQr:
