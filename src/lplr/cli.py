@@ -23,11 +23,11 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import LplrError
-from .factor import Method, l2_svd, low_rank, orient, truncate_factorization
+from .factor import Method, factorize, l2_svd, orient, truncate_factorization
 from .lowner import LevelSet, LownerConfig, contracted_vertices, lowner
-from .lpsvd import lp_svd, lp_svd_randomized, sandwich_check
+from .lpsvd import sandwich_check
 from .matio import load_matrix, store_matrix
-from .report import _build_report, evaluate, report_to_json
+from .report import _build_report, report_to_json
 from .rng import philox
 from .synth import SyntheticSpec, generate_synthetic
 
@@ -111,15 +111,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _run_one(a, k, p, method, seed, contraction="inv-d"):
-    cfg = LownerConfig(contraction=contraction)
-    start = time.perf_counter()
-    approx = low_rank(a, k, p, method=method, seed=seed, cfg=cfg)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = evaluate(a, approx, p, wall_time_ms=elapsed_ms, seed=seed)
-    return approx, report
-
-
 def _write_outputs(args, approx, report) -> None:
     if args.out_left:
         store_matrix(args.out_left, approx.left)
@@ -138,7 +129,8 @@ def _cmd_factorize(args) -> int:
         raise _UsageError(f"--rank must be in [1, {min(a.shape) - 1}] for a {a.shape[0]}x{a.shape[1]} input")
     if args.p < 1:
         raise _UsageError("--p must be >= 1")
-    approx, report = _run_one(a, args.rank, args.p, args.method, args.seed, args.contraction)
+    cfg = LownerConfig(contraction=args.contraction)
+    [(approx, report)] = _reports(a, [args.rank], args.p, Method(args.method), args.seed, cfg)
     _write_outputs(args, approx, report)
     return 0
 
@@ -147,28 +139,23 @@ def _cmd_baseline(args) -> int:
     a = load_matrix(args.input)
     if not 1 <= args.rank <= min(a.shape) - 1:
         raise _UsageError(f"--rank must be in [1, {min(a.shape) - 1}] for a {a.shape[0]}x{a.shape[1]} input")
-    approx, report = _run_one(a, args.rank, args.p, Method.SVD, args.seed)
+    [(approx, report)] = _reports(a, [args.rank], args.p, Method.SVD, args.seed)
     _write_outputs(args, approx, report)
     return 0
 
 
-def _sweep_job(payload):
-    """One (p, method) factorization, truncated at every requested k.
+def _reports(a, ks, p, method, seed, cfg=None):
+    """One (p, method) factorization of ``a``, truncated and reported at every k.
 
-    The SVD of the oriented input and the sandwich check of the factorization
-    do not depend on k, so they are computed once and shared by every row.
-    A row's wall time is the factorization time plus that rank's truncation
-    time; for svd rows the shared SVD is the factorization.
+    Returns one (approximation, report) pair per rank.  The SVD of the
+    oriented input and the sandwich check of the factorization do not depend
+    on k, so they are computed once and shared by every report.  A report's
+    wall time is the factorization time plus that rank's truncation time; for
+    svd reports the shared SVD is the factorization.
     """
-    a, ks, p, method, seed = payload
     oriented, transposed = orient(a)
     start = time.perf_counter()
-    if method is Method.SVD:
-        fac = l2_svd(oriented)
-    elif method is Method.RANDOMIZED:
-        fac = lp_svd_randomized(oriented, p, seed=seed)
-    else:
-        fac = lp_svd(oriented, p, cfg=LownerConfig())
+    fac = factorize(oriented, p, method, seed, cfg)
     base_ms = (time.perf_counter() - start) * 1e3
     svd_fac = fac if method is Method.SVD else l2_svd(oriented)
     # The transposed view, not the contiguous copy: it is the array evaluate()
@@ -180,8 +167,14 @@ def _sweep_job(payload):
         approx = truncate_factorization(fac, k, transposed)
         wall_ms = base_ms + (time.perf_counter() - t0) * 1e3
         baseline = truncate_factorization(svd_fac, k, transposed)
-        out.append(asdict(_build_report(a, approx, p, baseline, sandwich, wall_ms, seed)))
+        out.append((approx, _build_report(a, approx, p, baseline, sandwich, wall_ms, seed)))
     return out
+
+
+def _sweep_job(payload):
+    """The report dicts of one sweep (p, method) job; the approximations stay in the worker."""
+    a, ks, p, method, seed = payload
+    return [asdict(report) for _, report in _reports(a, ks, p, method, seed)]
 
 
 def _cmd_sweep(args) -> int:

@@ -92,26 +92,6 @@ def orient(a) -> tuple[np.ndarray, bool]:
     return np.ascontiguousarray(m.T), True
 
 
-def _truncate(fac: LpSvd, k: int, method: Method, transposed: bool) -> RankKApprox:
-    d = fac.D.shape[0]
-    dk = np.concatenate([fac.D[:k], np.zeros(d - k)])
-    roots = np.sqrt(fac.D[:k])
-    left = fac.U[:, :k] * roots[None, :]
-    right = (fac.V[:, :k] * roots[None, :]).T
-    return RankKApprox(
-        k=k,
-        method=method,
-        p=fac.p,
-        Dk=dk,
-        left=left,
-        right=right,
-        sigmas=fac.D,
-        full_v=fac.V,
-        transposed=transposed,
-        iterations=dict(fac.iterations),
-    )
-
-
 def _check_rank(k: int, d: int):
     if not isinstance(k, (int, np.integer)) or k < 1 or k > d - 1:
         raise InvalidRank(f"k must be an integer in [1, {d - 1}], got {k!r}")
@@ -123,26 +103,24 @@ def truncate_factorization(fac: LpSvd, k: int, transposed: bool = False) -> Rank
     Useful when sweeping k for a fixed (p, method): the expensive part is the
     factorization, truncation is free.
     """
-    _check_rank(k, fac.D.shape[0])
-    return _truncate(fac, k, Method(fac.method), transposed)
-
-
-def lp_low_rank(a, k: int, p: float, method: Method = Method.LOWNER, seed: int = 0, cfg: LownerConfig | None = None) -> RankKApprox:
-    """Rank-k lp approximation of A (oriented internally if wide).
-
-    ``method`` picks the deterministic Loewner path or the sketched one;
-    ``seed`` only affects the sketched path.
-    """
-    method = Method(method)
-    if method is Method.SVD:
-        raise InvalidRank("use l2_low_rank for the SVD baseline")
-    oriented, transposed = orient(a)
-    _check_rank(k, oriented.shape[1])
-    if method is Method.LOWNER:
-        fac = lp_svd(oriented, p, cfg)
-    else:
-        fac = lp_svd_randomized(oriented, p, seed=seed)
-    return _truncate(fac, k, method, transposed)
+    d = fac.D.shape[0]
+    _check_rank(k, d)
+    dk = np.concatenate([fac.D[:k], np.zeros(d - k)])
+    roots = np.sqrt(fac.D[:k])
+    left = fac.U[:, :k] * roots[None, :]
+    right = (fac.V[:, :k] * roots[None, :]).T
+    return RankKApprox(
+        k=k,
+        method=Method(fac.method),
+        p=fac.p,
+        Dk=dk,
+        left=left,
+        right=right,
+        sigmas=fac.D,
+        full_v=fac.V,
+        transposed=transposed,
+        iterations=dict(fac.iterations),
+    )
 
 
 def l2_svd(a) -> LpSvd:
@@ -156,19 +134,37 @@ def l2_svd(a) -> LpSvd:
                  iterations={"central": 0, "shallow": 0, "refine": 0})
 
 
-def l2_low_rank(a, k: int) -> RankKApprox:
-    """Optimal rank-k Frobenius approximation via truncated SVD."""
-    oriented, transposed = orient(a)
-    _check_rank(k, oriented.shape[1])
-    return _truncate(l2_svd(oriented), k, Method.SVD, transposed)
+def factorize(oriented: np.ndarray, p: float, method: Method | str, seed: int = 0, cfg: LownerConfig | None = None) -> LpSvd:
+    """The factorization of a tall matrix by ``method``; ``seed`` only affects the sketched path."""
+    method = Method(method)
+    if method is Method.SVD:
+        return l2_svd(oriented)
+    if method is Method.RANDOMIZED:
+        return lp_svd_randomized(oriented, p, seed=seed)
+    return lp_svd(oriented, p, cfg)
 
 
 def low_rank(a, k: int, p: float, method: Method | str, seed: int = 0, cfg: LownerConfig | None = None) -> RankKApprox:
-    """Dispatch to the lp paths or the SVD baseline by method name."""
-    method = Method(method)
-    if method is Method.SVD:
-        return l2_low_rank(a, k)
-    return lp_low_rank(a, k, p, method=method, seed=seed, cfg=cfg)
+    """Rank-k approximation of A by the lp paths or the SVD baseline (oriented internally if wide).
+
+    ``method`` picks the deterministic Loewner path, the sketched one or the
+    SVD; ``seed`` only affects the sketched path and ``cfg`` only the Loewner one.
+    """
+    oriented, transposed = orient(a)
+    _check_rank(k, oriented.shape[1])
+    return truncate_factorization(factorize(oriented, p, method, seed, cfg), k, transposed)
+
+
+def lp_low_rank(a, k: int, p: float, method: Method = Method.LOWNER, seed: int = 0, cfg: LownerConfig | None = None) -> RankKApprox:
+    """Rank-k lp approximation of A: :func:`low_rank` restricted to the lp paths."""
+    if Method(method) is Method.SVD:
+        raise InvalidRank("use l2_low_rank for the SVD baseline")
+    return low_rank(a, k, p, method, seed, cfg)
+
+
+def l2_low_rank(a, k: int) -> RankKApprox:
+    """Optimal rank-k Frobenius approximation via truncated SVD."""
+    return low_rank(a, k, 2.0, Method.SVD)
 
 
 def assemble(approx: RankKApprox) -> np.ndarray:

@@ -56,6 +56,14 @@ from .rng import philox
 #: block often changed the last bit (the GEMM kernel depends on the block's shape).
 DIRECTION_BLOCK = 256
 
+#: Slack in ||Ax||_p <= 1 + tol for :func:`member`.
+MEMBERSHIP_TOL = 1e-9
+#: A contracted vertex with ||Ax||_p <= 1 + VERTEX_TOL counts as inside L.
+VERTEX_TOL = 1e-7
+_INNER_TOL = 1e-7  # relative KKT gap that ends the MVEE weight solve of a refinement round
+_VERIFY_SAMPLES = 4096  # random directions that seed the certification ascent
+_PROBE_SEED = 24251  # Philox key of the random oracle starts and of certification
+
 
 def pnorms(a: np.ndarray, p: float, points: np.ndarray) -> np.ndarray:
     """||A x||_p for each row x of ``points``, in direction blocks when there are many."""
@@ -78,7 +86,6 @@ class LevelSet:
 
     a: np.ndarray
     p: float
-    membership_tol: float = 1e-9
     sigma_min: float = field(init=False)
     sigma_max: float = field(init=False)
 
@@ -144,23 +151,23 @@ class LownerConfig:
     """Tunable knobs for :func:`lowner`.
 
     contraction: "inv-d" tests the vertices of (1/d)(E - c) + c, the factor
-    the shallow-cut loop is stated with; "inv-sqrt-d" is the sharper factor
-    available for centrally symmetric bodies.
+        the shallow-cut loop is stated with; "inv-sqrt-d" is the sharper
+        factor available for centrally symmetric bodies.
+    phase1_cuts: cut budget of the cut stage; by default min(8 d^2, a flop
+        allowance that shrinks with n), and never more than 200 d^2.
+    refine_tol: refinement stops once no boundary point has a quadratic form
+        above d (1 + refine_tol).
+    max_outer: column-generation rounds, default 50 + 5 d.
+    oracle_iters: ascent iterations per oracle start (twice that in the
+        certification polish).
+    slack: relative margin of the reported distortion sqrt(d) (1 + slack).
     """
 
     contraction: str = "inv-d"
-    vertex_tol: float = 1e-7
-    center_tol: float = 1e-8
-    max_cuts: int | None = None  # default 200 d^2
-    phase1_cuts: int | None = None  # default min(max_cuts, 8 d^2)
+    phase1_cuts: int | None = None
     refine_tol: float = 5e-3
-    inner_tol: float = 1e-7
-    max_refine: int | None = None  # total Frank-Wolfe steps, default 200 d^2 + 4000
-    max_outer: int | None = None  # column-generation rounds, default 50 + 5 d
-    oracle_starts: int | None = None
+    max_outer: int | None = None
     oracle_iters: int = 60
-    verify_samples: int = 4096
-    probe_seed: int = 24251
     slack: float = 0.1
 
     def contraction_factor(self, d: int) -> float:
@@ -199,11 +206,10 @@ class LownerResult:
         object.__setattr__(self, "logdet_trace", frozen(np.asarray(self.logdet_trace, dtype=float).reshape(-1)))
 
 
-def member(level: LevelSet, x, tol: float | None = None) -> bool:
-    """Whether ||Ax||_p <= 1 + tol (tol defaults to the level set's)."""
+def member(level: LevelSet, x) -> bool:
+    """Whether ||Ax||_p <= 1 + MEMBERSHIP_TOL."""
     x = as_vector(x, level.dim, "x")
-    limit = 1.0 + (level.membership_tol if tol is None else tol)
-    return vector_pnorm(level.a @ x, level.p) <= limit
+    return vector_pnorm(level.a @ x, level.p) <= 1.0 + MEMBERSHIP_TOL
 
 
 def initial_ball(level: LevelSet) -> Ellipsoid:
@@ -319,14 +325,13 @@ def _cut_phase(level: LevelSet, cfg: LownerConfig):
     """
     n, d = level.a.shape
     gamma = cfg.contraction_factor(d)
-    budget_total = cfg.max_cuts if cfg.max_cuts is not None else 200 * d * d
     if cfg.phase1_cuts is not None:
-        budget = min(budget_total, cfg.phase1_cuts)
+        budget = min(200 * d * d, cfg.phase1_cuts)
     else:
         # Each cut costs O(n d^2) for the vertex test; a fixed shallow cut only
         # shrinks ln det(F) by ~1/(2 d^3), so on large instances the flop
         # allowance hands over to the refinement stage early.
-        budget = min(budget_total, 8 * d * d, max(32, int(2e8 / (4.0 * n * d * d))))
+        budget = min(8 * d * d, max(32, int(2e8 / (4.0 * n * d * d))))
     f = initial_ball(level).shape
     dets = [float(np.linalg.slogdet(f)[1])]
     contacts: list[np.ndarray] = []
@@ -336,7 +341,7 @@ def _cut_phase(level: LevelSet, cfg: LownerConfig):
         verts = _vertices(origin, f, gamma)
         norms = level.norms(verts)
         worst = int(np.argmax(norms))
-        if norms[worst] <= 1.0 + cfg.vertex_tol:
+        if norms[worst] <= 1.0 + VERTEX_TOL:
             break  # all contracted vertices inside L
         v = verts[worst]
         contacts.append(v / norms[worst])
@@ -356,6 +361,12 @@ def _cut_phase(level: LevelSet, cfg: LownerConfig):
     return Ellipsoid(origin, f), 0, shallow, dets, contacts
 
 
+def _scatter_inverse(points: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """M^-1 for the weighted scatter M = sum_i w_i x_i x_i^T, and the leverages x_i^T M^-1 x_i."""
+    minv = np.linalg.inv(points.T @ (w[:, None] * points))
+    return minv, np.einsum("ij,jk,ik->i", points, minv, points)
+
+
 def _fw_sweep(points: np.ndarray, w: np.ndarray, tol: float, budget: int):
     """Frank-Wolfe / away steps for max log det sum_i w_i x_i x_i^T.
 
@@ -363,14 +374,7 @@ def _fw_sweep(points: np.ndarray, w: np.ndarray, tol: float, budget: int):
     Returns (w, M_inverse, leverages, steps_used).
     """
     d = points.shape[1]
-
-    def rebuild():
-        mat = points.T @ (w[:, None] * points)
-        minv = np.linalg.inv(mat)
-        lev = np.einsum("ij,jk,ik->i", points, minv, points)
-        return minv, lev
-
-    minv, lev = rebuild()
+    minv, lev = _scatter_inverse(points, w)
     steps = 0
     while steps < budget:
         j_fw = int(np.argmax(lev))
@@ -403,9 +407,9 @@ def _fw_sweep(points: np.ndarray, w: np.ndarray, tol: float, budget: int):
         steps += 1
         if steps % 512 == 0:
             w /= w.sum()
-            minv, lev = rebuild()
+            minv, lev = _scatter_inverse(points, w)
     w /= w.sum()
-    minv, lev = rebuild()
+    minv, lev = _scatter_inverse(points, w)
     return w, minv, lev, steps
 
 
@@ -423,11 +427,6 @@ def _mvee_weights(points: np.ndarray, w: np.ndarray, tol: float, max_steps: int)
     w = w / w.sum()
     # A short coarse sweep localizes the support; Newton does the real work.
     w, minv, lev, steps = _fw_sweep(points, w, 1e-2, min(max_steps, 300))
-
-    def rebuild():
-        mat = points.T @ (w[:, None] * points)
-        mi = np.linalg.inv(mat)
-        return mi, np.einsum("ij,jk,ik->i", points, mi, points)
 
     def logdet():
         return float(np.linalg.slogdet(points.T @ (w[:, None] * points))[1])
@@ -447,7 +446,7 @@ def _mvee_weights(points: np.ndarray, w: np.ndarray, tol: float, max_steps: int)
             lam = (hj - d) / (d * (hj - 1.0))
             w *= 1.0 - lam
             w[j_top] += lam
-            minv, lev = rebuild()
+            minv, lev = _scatter_inverse(points, w)
             steps += 1
             continue
         xs = points[support]
@@ -493,7 +492,7 @@ def _mvee_weights(points: np.ndarray, w: np.ndarray, tol: float, max_steps: int)
             w, minv, lev, used = _fw_sweep(points, w, tol, min(max_steps - steps, 200))
             steps += used
             continue
-        minv, lev = rebuild()
+        minv, lev = _scatter_inverse(points, w)
         steps += 1
     return w, minv, lev, steps
 
@@ -557,9 +556,9 @@ def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarra
     pts = level.boundary(np.concatenate(starts0, axis=0))
     w = np.full(pts.shape[0], 1.0 / pts.shape[0])
 
-    max_refine = cfg.max_refine if cfg.max_refine is not None else 200 * d * d + 4000
+    max_refine = 200 * d * d + 4000  # total Frank-Wolfe steps
     max_outer = cfg.max_outer if cfg.max_outer is not None else 50 + 5 * d
-    n_starts = cfg.oracle_starts if cfg.oracle_starts is not None else min(256, max(64, 4 * d))
+    n_starts = min(256, max(64, 4 * d))
     fw_steps = 0
     minv = None
     kappa = np.inf
@@ -567,14 +566,14 @@ def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarra
     # Ascent cost is oracle_iters * starts * O(n d); cap the batch on big inputs.
     start_cap = max(d + 8, min(4 * n_starts, int(3e9 / (cfg.oracle_iters * 4.0 * n * d))))
     for outer in range(max_outer):
-        w, minv, lev, steps = _mvee_weights(pts, w, cfg.inner_tol, max_refine - fw_steps)
+        w, minv, lev, steps = _mvee_weights(pts, w, _INNER_TOL, max_refine - fw_steps)
         fw_steps += steps
         keep = w > 1e-14
         if keep.sum() >= d and not keep.all():
             pts, w = pts[keep], w[keep] / w[keep].sum()
             lev = lev[keep]
         n_random = max(2 * d, n_starts - pts.shape[0] - d) if outer < 2 else d
-        rand = philox(cfg.probe_seed, stream=outer + 1).standard_normal((n_random, d))
+        rand = philox(_PROBE_SEED, stream=outer + 1).standard_normal((n_random, d))
         warm = pts if pts.shape[0] <= 2 * d else pts[np.argsort(lev)[::-1][: 2 * d]]
         # Under a tight start budget: warm contact points first, then the
         # ellipsoid axes, then random exploration.
@@ -628,8 +627,8 @@ def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarra
 def _certified_shape(level: LevelSet, minv: np.ndarray, cfg: LownerConfig) -> np.ndarray:
     """Scale M so E = {x : x^T F^-1 x <= 1} covers every verified boundary point."""
     n, d = level.a.shape
-    rng = philox(cfg.probe_seed, stream=0)
-    dirs = rng.standard_normal((cfg.verify_samples, d))
+    rng = philox(_PROBE_SEED, stream=0)
+    dirs = rng.standard_normal((_VERIFY_SAMPLES, d))
     vals_s, pts_s = _ascend(level, minv, dirs, 4)  # a few polish steps per sample
     top = max(d + 8, int(3e9 / (2.0 * cfg.oracle_iters * 4.0 * n * d)))
     starts = np.concatenate([np.linalg.eigh(minv)[1].T, pts_s[np.argsort(vals_s)[-min(4 * d, top) :]]], axis=0)
@@ -690,7 +689,7 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
     final = Ellipsoid(np.zeros(level.dim), shape)
 
     gamma = cfg.contraction_factor(level.dim)
-    tol = cfg.vertex_tol if cfg.contraction == "inv-d" else cfg.vertex_tol + 10.0 * cfg.refine_tol
+    tol = VERTEX_TOL if cfg.contraction == "inv-d" else VERTEX_TOL + 10.0 * cfg.refine_tol
     verts = contracted_vertices(final, gamma)
     dvals, v = _extract_axes(final.shape)
     result = LownerResult(
@@ -704,6 +703,4 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
     )
     if float(np.max(level.norms(verts))) > 1.0 + tol:
         raise NoConvergence("contracted vertices escape the level set after refinement", best=result)
-    if float(np.linalg.norm(final.center)) > cfg.center_tol:
-        raise NoConvergence("final center strayed from the origin", best=result)
     return result

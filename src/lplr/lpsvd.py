@@ -26,6 +26,8 @@ from .rng import philox
 _SAMPLE_STREAM = 101
 _DESCENT_STREAM = 707
 _SKETCH_ATTEMPTS = 4  # sketch streams 0..3, tried in turn until one has full rank
+_SANDWICH_SAMPLES = 1000  # Gaussian directions of sandwich_check, besides the 2d axes
+_SANDWICH_SEED = 424242
 
 
 @dataclass(frozen=True)
@@ -170,17 +172,7 @@ def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> 
     khat = float(ratios.max() / ratios.min())
     r_scaled = r * (rmin_certified * (1.0 - 1e-9))
     u = np.linalg.solve(r_scaled.T, a.T).T  # U = A R^-1
-    return ConditionerResult(R=r_scaled, U=u, distortion=khat, sketch_rows=_sketch_rows(n, d, p, sketch))
-
-
-def _sketch_rows(n: int, d: int, p: float, kind: str) -> int:
-    if kind == "identity":
-        return n
-    if p < 2.0:
-        return min(n, 8 * d * d)
-    if p == 2.0:
-        return 4 * d
-    return min(n, int(math.ceil(8 * d * d * math.log(n))))
+    return ConditionerResult(R=r_scaled, U=u, distortion=khat, sketch_rows=sa.shape[0])
 
 
 def lp_svd_randomized(a, p: float, seed: int = 0, sketch: str = "auto") -> LpSvd:
@@ -191,10 +183,10 @@ def lp_svd_randomized(a, p: float, seed: int = 0, sketch: str = "auto") -> LpSvd
     return _finish(a, dvals, v, p, cond.distortion, "randomized", {"central": 0, "shallow": 0, "refine": 0})
 
 
-def sandwich_check(a, p: float, d_diag, v, num_samples: int = 1000, seed: int = 424242) -> tuple[float, float]:
+def sandwich_check(a, p: float, d_diag, v) -> tuple[float, float]:
     """Extremes of ||Ax||_p / ||D V^T x||_2 over sampled directions.
 
-    Directions are ``num_samples`` Gaussian draws plus the 2d contracted
+    Directions are 1000 fixed Gaussian draws plus the 2d contracted
     vertex directions (the +-columns of V), evaluated in direction blocks.
     For a valid factorization the returned pair satisfies lo >= 1 and
     hi <= sqrt(d) up to solver slack.
@@ -205,7 +197,7 @@ def sandwich_check(a, p: float, d_diag, v, num_samples: int = 1000, seed: int = 
     d = v.shape[0]
     if a.shape[1] != d or d_diag.shape[0] != d:
         raise ShapeMismatch("inconsistent shapes between a, d_diag, and v")
-    dirs = philox(seed, stream=0).standard_normal((num_samples, d))
+    dirs = philox(_SANDWICH_SEED, stream=0).standard_normal((_SANDWICH_SAMPLES, d))
     dirs = np.concatenate([dirs, v.T, -v.T], axis=0)
     ratios = pnorms(a, p, dirs) / np.linalg.norm((dirs @ v) * d_diag[None, :], axis=1)
     return float(ratios.min()), float(ratios.max())

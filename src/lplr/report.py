@@ -50,6 +50,11 @@ def compression_rate(n: int, d: int, k: int) -> float:
         raise InvalidRank(f"k must be in [1, {min(n, d) - 1}], got {k}")
     if k * (n + d) > n * d:
         raise NotCompressing(f"factors would hold {k * (n + d)} numbers, input holds {n * d}")
+    return _rate(n, d, k)
+
+
+def _rate(n: int, d: int, k: int) -> float:
+    """1 - k(n + d)/(n d), ungated: negative when the factor pair is larger than the input."""
     return 1.0 - k * (n + d) / (n * d)
 
 
@@ -110,7 +115,7 @@ def _build_report(
         # Raw value, not gated: desk-scale shapes (for example 3x3 at k = 2)
         # are legitimately evaluated even when the factor pair is larger than
         # the input, in which case the rate goes negative.
-        compression_rate=1.0 - approx.k * (n + d) / (n * d),
+        compression_rate=_rate(n, d, approx.k),
         iterations=dict(approx.iterations),
         wall_time_ms=float(wall_time_ms),
         seed=int(seed),

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from lplr.lowner import Ellipsoid, contracted_vertices, initial_ball, shallow_cut, subgradient
+from lplr.lowner import VERTEX_TOL, Ellipsoid, contracted_vertices, initial_ball, shallow_cut, subgradient
 
 
 def pnorm_pow_loops(a, p):
@@ -144,7 +144,7 @@ def reference_cut_loop(level, cfg):
     """
     n, d = level.a.shape
     gamma = cfg.contraction_factor(d)
-    budget_total = cfg.max_cuts if cfg.max_cuts is not None else 200 * d * d
+    budget_total = 200 * d * d
     if cfg.phase1_cuts is not None:
         budget = min(budget_total, cfg.phase1_cuts)
     else:
@@ -157,7 +157,7 @@ def reference_cut_loop(level, cfg):
         verts = contracted_vertices(e, gamma)
         norms = level.norms(verts)
         worst = int(np.argmax(norms))
-        if norms[worst] <= 1.0 + cfg.vertex_tol:
+        if norms[worst] <= 1.0 + VERTEX_TOL:
             break
         v = verts[worst]
         contacts.append(v / norms[worst])

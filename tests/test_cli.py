@@ -6,6 +6,7 @@ import pytest
 
 from lplr.cli import main
 from lplr.factor import low_rank
+from lplr.lowner import LownerConfig
 from lplr.matio import load_matrix, store_matrix
 from lplr.report import evaluate, report_from_json, reports_equal_modulo_time
 from lplr.synth import SyntheticSpec, generate_synthetic
@@ -176,3 +177,42 @@ def test_sweep_rows_equal_evaluate(tmp_path, tall_matrix, orientation, workers):
         assert row == expected
         if row["method"] == "svd":
             assert row["error_pp"] == row["error_l2_baseline"]
+
+
+@pytest.mark.parametrize("orientation", ["tall", "wide"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factorize", "--method", "lowner", "--p", "1.5", "--rank", "3"],
+        ["factorize", "--method", "lowner", "--p", "1", "--rank", "2", "--contraction", "inv-sqrt-d"],
+        ["factorize", "--method", "randomized", "--p", "1", "--rank", "4"],
+        ["factorize", "--method", "svd", "--p", "4", "--rank", "5"],
+        ["baseline", "--p", "1", "--rank", "3"],
+    ],
+)
+def test_single_reports_equal_library(tmp_path, tall_matrix, orientation, argv):
+    # factorize and baseline build their report through the sweep's job: the
+    # report must still be evaluate() of the library's approximation, and the
+    # factor files its factor pair.
+    a = tall_matrix if orientation == "tall" else np.ascontiguousarray(tall_matrix.T)
+    path, rep_path = tmp_path / "in.lplr", tmp_path / "rep.json"
+    left_path, right_path = tmp_path / "l.lplr", tmp_path / "r.lplr"
+    store_matrix(path, a)
+    code = main(
+        argv + [
+            "--input", str(path), "--seed", "5", "--report", str(rep_path),
+            "--out-left", str(left_path), "--out-right", str(right_path),
+        ]
+    )
+    assert code == 0
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    p = float(opts["--p"])
+    cfg = LownerConfig(contraction=opts.get("--contraction", "inv-d"))
+    approx = low_rank(a, int(opts["--rank"]), p, opts.get("--method", "svd"), seed=5, cfg=cfg)
+    expected = asdict(evaluate(a, approx, p, seed=5))
+    expected.pop("wall_time_ms")
+    row = json.loads(rep_path.read_text())
+    assert row.pop("wall_time_ms") >= 0.0
+    assert row == expected
+    np.testing.assert_array_equal(load_matrix(left_path), approx.left)
+    np.testing.assert_array_equal(load_matrix(right_path), approx.right)

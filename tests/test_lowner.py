@@ -7,6 +7,7 @@ from lplr import SyntheticSpec, generate_synthetic
 from lplr.errors import DimensionTooSmall, NoConvergence, NotPositiveDefinite, RankDeficient, ZeroGradient
 from lplr.lowner import (
     DIRECTION_BLOCK,
+    VERTEX_TOL,
     Ellipsoid,
     LevelSet,
     LownerConfig,
@@ -295,10 +296,10 @@ class TestLowner:
         assert np.max(res.ellipsoid.quadratic_form(boundary)) <= 1.0 + 1e-6
         # inner containment: contracted vertices are members of L
         verts = contracted_vertices(res.ellipsoid, cfg.contraction_factor(d))
-        assert np.max(level.norms(verts)) <= 1.0 + cfg.vertex_tol
+        assert np.max(level.norms(verts)) <= 1.0 + VERTEX_TOL
         # the cut sequence only ever shrinks det(F)
         assert np.all(np.diff(res.logdet_trace) < 0)
-        assert np.linalg.norm(res.ellipsoid.center) <= cfg.center_tol
+        assert np.linalg.norm(res.ellipsoid.center) == 0.0
         # D sorted positive, V orthogonal
         assert np.all(res.D > 0) and np.all(np.diff(res.D) <= 1e-12)
         np.testing.assert_allclose(res.V.T @ res.V, np.eye(d), atol=1e-8)
@@ -361,4 +362,4 @@ class TestLowner:
         res = lowner(a, 1.0, cfg)
         level = LevelSet(a, 1.0)
         verts = contracted_vertices(res.ellipsoid, 0.5)
-        assert np.max(level.norms(verts)) <= 1.0 + cfg.vertex_tol + 10 * cfg.refine_tol
+        assert np.max(level.norms(verts)) <= 1.0 + VERTEX_TOL + 10 * cfg.refine_tol
