@@ -10,7 +10,7 @@ class LplrError(Exception):
 
 
 class InvalidP(LplrError):
-    """Norm exponent p < 1 is outside the supported range."""
+    """Norm exponent p is not a finite number >= 1."""
 
 
 class InvalidRank(LplrError):

@@ -46,7 +46,7 @@ from .errors import (
     SvdFailure,
     ZeroGradient,
 )
-from .matcore import as_matrix, as_vector, cholesky, frozen, svd, vector_pnorm
+from .matcore import as_matrix, as_vector, check_p, cholesky, frozen, svd, vector_pnorm
 from .rng import philox
 
 #: Directions per block in the batched norm sweeps, which bounds their n x block
@@ -91,10 +91,7 @@ class LevelSet:
 
     def __post_init__(self):
         a = as_matrix(self.a, "a")
-        if self.p < 1:
-            from .errors import InvalidP
-
-            raise InvalidP(f"p must be >= 1, got {self.p}")
+        check_p(self.p)
         s = np.linalg.svd(a, compute_uv=False)
         if s[-1] <= 1e-10 * s[0]:
             raise RankDeficient("level set requires a matrix of full column rank")
@@ -503,6 +500,8 @@ def _ascend(level: LevelSet, minv: np.ndarray, starts: np.ndarray, iters: int):
     ``starts`` has unit rows; returns (values, boundary points) for the best
     iterate of every start.  The objective is scale-invariant, so iterates
     live on the unit sphere and are mapped to the boundary only on output.
+    All ``iters`` iterates are scored; the last one is scored and not moved,
+    since no result reads a further step.
     """
     u = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     p = level.p
@@ -510,23 +509,27 @@ def _ascend(level: LevelSet, minv: np.ndarray, starts: np.ndarray, iters: int):
     best_val = np.full(u.shape[0], -np.inf)
     best_u = u.copy()
     step = 0.25
-    for _ in range(iters):
+    for it in range(iters):
         y = a @ u.T
-        absy = np.abs(y)
-        if p == 1:
-            z = absy.sum(axis=0)
-            gcols = a.T @ np.sign(y)
-        elif p == 2:
-            z = np.sqrt((absy * absy).sum(axis=0))
-            gcols = (a.T @ y) / z
+        if p == 2:
+            z = np.sqrt((y * y).sum(axis=0))
         else:
-            z = (absy**p).sum(axis=0) ** (1.0 / p)
-            gcols = (a.T @ (np.sign(y) * absy ** (p - 1.0))) / z ** (p - 1.0)
+            absy = np.abs(y)
+            z = absy.sum(axis=0) if p == 1 else (absy**p).sum(axis=0) ** (1.0 / p)
         qu = (minv @ u.T).T
         j = np.einsum("ij,ij->i", u, qu) / (z * z)
         improved = j > best_val
         best_val[improved] = j[improved]
         best_u[improved] = u[improved]
+        if it == iters - 1:
+            break
+        if p == 1:
+            gcols = a.T @ np.sign(y)
+        elif p == 2:
+            gcols = (a.T @ y) / z
+        else:
+            t = absy ** (p - 1.0)  # ** runs numpy's faster sqrt/square loops at exponents 0.5 and 2
+            gcols = (a.T @ np.copysign(t, y, out=t)) / z ** (p - 1.0)
         grad = qu - (j * z)[:, None] * gcols.T
         gnorm = np.linalg.norm(grad, axis=1, keepdims=True)
         u = u + step * grad / np.maximum(gnorm, 1e-30)

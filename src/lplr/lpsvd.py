@@ -135,7 +135,8 @@ def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> 
     smallest observed ratio ||Ax||_p / ||Rx||_2 (1000 fixed Gaussian probes
     plus a multi-start descent to the minimizing direction), restoring the
     one-sided guarantee ||Rx||_2 <= ||Ax||_p.  The reported distortion is the
-    max/min ratio over the fixed probes.
+    max/min ratio over the fixed probes.  When every sketch attempt comes out
+    rank deficient, as on small square inputs, the unsketched A is used.
     """
     a = as_matrix(a, "a")
     n, d = a.shape
@@ -143,17 +144,21 @@ def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> 
         raise ShapeMismatch(f"conditioner expects rows >= cols, got {n}x{d}")
     level = LevelSet(a, p)  # validates rank and p
 
+    # Bucket collisions, or rows sampled twice, can leave every sketch of a
+    # small input rank deficient; A itself has the full rank LevelSet checked.
     r = None
-    for attempt in range(_SKETCH_ATTEMPTS):
-        rng = philox(seed, stream=attempt)
-        sa = _sketch(a, p, rng, sketch)
+    for attempt in range(_SKETCH_ATTEMPTS + 1):
+        kind = sketch if attempt < _SKETCH_ATTEMPTS else "identity"
+        sa = _sketch(a, p, philox(seed, stream=attempt), kind)
         try:
             _, r = qr(sa)
             break
         except RankDeficient:
             r = None
     if r is None:
-        raise RankDeficient(f"sketched matrix was rank deficient in all {_SKETCH_ATTEMPTS} sketch attempts")
+        raise RankDeficient(
+            f"sketched matrix was rank deficient in all {_SKETCH_ATTEMPTS} sketch attempts, and so was the input"
+        )
 
     probes = philox(seed, stream=_SAMPLE_STREAM).standard_normal((1000, d))
     num = level.norms(probes)

@@ -11,6 +11,8 @@ Everything is pure: inputs are never mutated and returned arrays are fresh.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -47,10 +49,15 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_p(p: float) -> None:
+    """Raise :class:`InvalidP` unless p is a finite number >= 1."""
+    if not 1.0 <= p < math.inf:  # also false for NaN
+        raise InvalidP(f"p must be a finite number >= 1, got {p}")
+
+
 def vector_pnorm(y: np.ndarray, p: float) -> float:
     """The p-norm (sum of |y_i|^p)^(1/p) for p >= 1."""
-    if p < 1:
-        raise InvalidP(f"p must be >= 1, got {p}")
+    check_p(p)
     y = np.abs(np.asarray(y, dtype=np.float64))
     if p == 1:
         return float(y.sum())
@@ -65,8 +72,7 @@ def entrywise_pnorm_pow(a, p: float) -> float:
     Equals the sum over columns of the column p-norms to the p, and is
     invariant under transposition.  Zero exactly when ``a`` is all zeros.
     """
-    if p < 1:
-        raise InvalidP(f"p must be >= 1, got {p}")
+    check_p(p)
     m = as_matrix(a, "a")
     return float(np.sum(np.abs(m) ** p))
 

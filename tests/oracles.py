@@ -1,12 +1,15 @@
 """Independent oracles used to derive expected values in the test suite.
 
-Apart from ``reference_cut_loop``, none of these call back into ``lplr``'s
-numerical paths: eigenvalues come from a classical Jacobi rotation sweep,
-Cholesky from textbook elimination, gradients from central finite
-differences, and minimum-volume enclosing ellipsoids from a plain Khachiyan
-iteration on an explicit point set.  ``reference_cut_loop`` is the cut stage
-composed only of the public, validating ellipsoid primitives, against which
-the raw-array loop in ``lplr.lowner`` is compared bit for bit.
+Apart from ``reference_cut_loop`` and ``reference_ascend``, none of these
+call back into ``lplr``'s numerical paths: eigenvalues come from a classical
+Jacobi rotation sweep, Cholesky from textbook elimination, gradients from
+central finite differences, and minimum-volume enclosing ellipsoids from a
+plain Khachiyan iteration on an explicit point set.  ``reference_cut_loop``
+is the cut stage composed only of the public, validating ellipsoid
+primitives, against which the raw-array loop in ``lplr.lowner`` is compared
+bit for bit.  ``reference_ascend`` is the untrimmed ascent oracle, which
+computes every gradient and moves every iterate, against which
+``lplr.lowner._ascend`` is compared bit for bit.
 """
 
 from __future__ import annotations
@@ -170,3 +173,41 @@ def reference_cut_loop(level, cfg):
         cuts += 1
         dets.append(float(np.linalg.slogdet(e.shape)[1]))
     return e, cuts, dets, contacts
+
+
+def reference_ascend(level, minv, starts, iters):
+    """Multi-start projected ascent of x^T M^-1 x over the boundary of L.
+
+    The plain loop: every iteration computes |Ax| and its gradient and moves
+    the iterate, including the last one, whose step no result reads.
+    Returns (values, boundary points) for the best iterate of every start.
+    """
+    u = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    p = level.p
+    a = level.a
+    best_val = np.full(u.shape[0], -np.inf)
+    best_u = u.copy()
+    step = 0.25
+    for _ in range(iters):
+        y = a @ u.T
+        absy = np.abs(y)
+        if p == 1:
+            z = absy.sum(axis=0)
+            gcols = a.T @ np.sign(y)
+        elif p == 2:
+            z = np.sqrt((absy * absy).sum(axis=0))
+            gcols = (a.T @ y) / z
+        else:
+            z = (absy**p).sum(axis=0) ** (1.0 / p)
+            gcols = (a.T @ (np.sign(y) * absy ** (p - 1.0))) / z ** (p - 1.0)
+        qu = (minv @ u.T).T
+        j = np.einsum("ij,ij->i", u, qu) / (z * z)
+        improved = j > best_val
+        best_val[improved] = j[improved]
+        best_u[improved] = u[improved]
+        grad = qu - (j * z)[:, None] * gcols.T
+        gnorm = np.linalg.norm(grad, axis=1, keepdims=True)
+        u = u + step * grad / np.maximum(gnorm, 1e-30)
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        step *= 0.93
+    return best_val, level.boundary(best_u)

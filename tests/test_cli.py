@@ -1,3 +1,4 @@
+import importlib
 import json
 from dataclasses import asdict
 
@@ -10,6 +11,8 @@ from lplr.lowner import LownerConfig
 from lplr.matio import load_matrix, store_matrix
 from lplr.report import evaluate, report_from_json, reports_equal_modulo_time
 from lplr.synth import SyntheticSpec, generate_synthetic
+
+cli_module = importlib.import_module("lplr.cli")
 
 
 @pytest.fixture
@@ -216,3 +219,68 @@ def test_single_reports_equal_library(tmp_path, tall_matrix, orientation, argv):
     assert row == expected
     np.testing.assert_array_equal(load_matrix(left_path), approx.left)
     np.testing.assert_array_equal(load_matrix(right_path), approx.right)
+
+
+@pytest.mark.parametrize("value", ["0.5", "nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["factorize", "baseline", "sweep", "check"])
+def test_exponent_outside_domain_is_usage_error(tmp_path, synth_file, capsys, command, value):
+    rep_path = tmp_path / "rep.json"
+    if command == "sweep":
+        argv = ["sweep", "--input", str(synth_file), "--ks", "2", "--ps", f"2,{value}",
+                "--methods", "svd", "--report", str(rep_path)]
+    elif command == "check":
+        argv = ["check", "--input", str(synth_file), "--p", value]
+    else:
+        argv = [command, "--input", str(synth_file), "--rank", "2", "--p", value, "--report", str(rep_path)]
+    assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not rep_path.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_workers_below_one_is_usage_error(tmp_path, synth_file, workers):
+    rep_path = tmp_path / "rep.json"
+    argv = ["sweep", "--input", str(synth_file), "--ks", "2", "--ps", "2", "--methods", "svd",
+            "--workers", workers, "--report", str(rep_path)]
+    assert main(argv) == 1
+    assert not rep_path.exists()
+
+
+def _recorded_jobs(monkeypatch, synth_file, tmp_path, ks, ps, methods):
+    """(ks, p, method) of every sweep job, in the order the sweep starts them."""
+    jobs = []
+
+    def record(payload):
+        _, job_ks, p, method, _ = payload
+        jobs.append((job_ks, p, method.value))
+        return []
+
+    monkeypatch.setattr(cli_module, "_sweep_job", record)
+    argv = ["sweep", "--input", str(synth_file), "--ks", ks, "--ps", ps, "--methods", methods,
+            "--report", str(tmp_path / "rep.json")]
+    assert main(argv) == 0
+    return jobs
+
+
+def test_sweep_starts_costliest_jobs_first(monkeypatch, synth_file, tmp_path):
+    jobs = _recorded_jobs(monkeypatch, synth_file, tmp_path, "2", "1,2,4,1.5,3", "svd,randomized,lowner")
+    order = [4.0, 3.0, 1.5, 2.0, 1.0]
+    assert [(p, m) for _, p, m in jobs] == [(p, m) for m in ("lowner", "randomized", "svd") for p in order]
+
+
+def test_sweep_drops_duplicate_grid_values(monkeypatch, synth_file, tmp_path):
+    jobs = _recorded_jobs(monkeypatch, synth_file, tmp_path, "4,2,2", "1,1.0,2", "svd,svd")
+    assert jobs == [([2, 4], 2.0, "svd"), ([2, 4], 1.0, "svd")]
+
+
+def test_sweep_duplicates_write_each_row_once(tmp_path, synth_file):
+    rows = {}
+    for name, ks, ps in (("dup", "2,2", "1,1"), ("single", "2", "1")):
+        rep_path = tmp_path / f"{name}.json"
+        argv = ["sweep", "--input", str(synth_file), "--ks", ks, "--ps", ps, "--methods", "svd",
+                "--report", str(rep_path)]
+        assert main(argv) == 0
+        rows[name] = json.loads(rep_path.read_text())
+        for row in rows[name]:
+            row.pop("wall_time_ms")
+    assert len(rows["dup"]) == 1 and rows["dup"] == rows["single"]

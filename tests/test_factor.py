@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lplr.errors import InvalidRank
+from lplr.errors import InvalidP, InvalidRank
 from lplr.factor import Method, assemble, error_bounds, l2_low_rank, lp_low_rank, low_rank, orient
 from lplr.matcore import entrywise_pnorm_pow
 
@@ -27,6 +27,13 @@ class TestOrient:
 
 
 class TestLpLowRank:
+    @pytest.mark.parametrize("method", [Method.LOWNER, Method.RANDOMIZED])
+    @pytest.mark.parametrize("p", [0.5, float("nan"), float("inf"), -1.0])
+    def test_rejects_p_that_is_not_finite_at_least_one(self, method, p):
+        a = np.random.default_rng(3).normal(size=(30, 4))
+        with pytest.raises(InvalidP, match="finite number >= 1"):
+            lp_low_rank(a, 2, p, method=method)
+
     def test_diag_k2_p2(self):
         a = np.diag([3.0, 2.0, 1.0])
         approx = lp_low_rank(a, 2, 2.0)

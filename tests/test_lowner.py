@@ -21,7 +21,7 @@ from lplr.lowner import (
     subgradient,
 )
 
-from oracles import central_diff_grad, mvee_axis_reciprocals, reference_cut_loop
+from oracles import central_diff_grad, mvee_axis_reciprocals, reference_ascend, reference_cut_loop
 
 # The package attribute ``lplr.lowner`` is the function, not the module.
 lowner_module = importlib.import_module("lplr.lowner")
@@ -259,6 +259,25 @@ class TestCutPhase:
         with pytest.raises(NotPositiveDefinite, match=check):
             lowner(planted(200, 8, 3), 1.0, LownerConfig(phase1_cuts=6))
         assert len(calls) == cut
+
+
+class TestAscend:
+    # p = 1.5 and p = 3 put the gradient's |y|**(p-1) on numpy's sqrt and
+    # square fast paths; iters = 1 is scored only, 2 moves once.
+    @pytest.mark.parametrize("starts", [1, 7, 600])
+    @pytest.mark.parametrize("iters", [1, 2, 60])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_matches_untrimmed_reference_bit_for_bit(self, p, iters, starts):
+        a = np.array(planted(200, 8, 11))
+        a[[5, 120]] = 0.0  # zero rows, so A x holds exact zeros
+        level = LevelSet(a, p)
+        rng = np.random.default_rng(1000 * iters + starts)
+        minv = random_pd(rng, 8, spread=2.0)
+        x = rng.standard_normal((starts, 8))
+        vals, pts = lowner_module._ascend(level, minv, x, iters)
+        ref_vals, ref_pts = reference_ascend(level, minv, x, iters)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert pts.tobytes() == ref_pts.tobytes()
 
 
 class TestLowner:

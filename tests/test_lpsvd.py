@@ -115,7 +115,25 @@ class TestRandomizedConditioner:
         monkeypatch.setattr(lpsvd, "qr", deficient)
         with pytest.raises(RankDeficient, match="in all 4 sketch attempts"):
             randomized_conditioner(np.random.default_rng(15).normal(size=(50, 4)), 1.0)
-        assert len(calls) == 4
+        # four sketches, then the unsketched input
+        assert len(calls) == 5 and calls[-1] == (50, 4)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+    def test_square_input_falls_back_to_unsketched(self, p):
+        # At n = d every sketch of this input has repeated rows or colliding
+        # buckets, so all four come out rank deficient.
+        a = philox(3).standard_normal((6, 6))
+        cond = randomized_conditioner(a, p)
+        ref = randomized_conditioner(a, p, sketch="identity")
+        assert cond.sketch_rows == 6
+        assert cond.R.tobytes() == ref.R.tobytes() and cond.distortion == ref.distortion
+        fac = lp_svd_randomized(a, p)
+        lo, _ = sandwich_check(a, p, fac.D, fac.V)
+        assert lo >= 1.0 - 1e-9
+
+    def test_tall_input_keeps_its_sketch(self):
+        a = philox(3).standard_normal((400, 6))
+        assert randomized_conditioner(a, 1.0).sketch_rows < 400
 
     def test_distortion_finite_and_reported(self):
         a = np.random.default_rng(9).normal(size=(400, 6))

@@ -32,6 +32,13 @@ class TestEntrywisePnormPow:
         with pytest.raises(InvalidP):
             matcore.entrywise_pnorm_pow(np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(InvalidP):
+            matcore.entrywise_pnorm_pow(np.eye(2), p)
+        with pytest.raises(InvalidP):
+            matcore.vector_pnorm(np.ones(2), p)
+
     def test_zero_iff_zero_matrix(self):
         assert matcore.entrywise_pnorm_pow(np.zeros((2, 3)), 1.5) == 0.0
         assert matcore.entrywise_pnorm_pow(np.array([[0.0, 1e-150]]), 1.5) > 0.0
