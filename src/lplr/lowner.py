@@ -28,6 +28,11 @@ ellipsoid, hence ||D V^T x||_2 <= ||Ax||_p <= sqrt(d) ||D V^T x||_2.
 The final ellipsoid is certified by rescaling to the largest quadratic form
 value observed over ascent maxima plus a dense boundary sample, so the
 enclosure L inside E holds at every checked point with margin.
+
+At p = 2 neither stage runs: L = {x : x^T A^T A x <= 1} is an ellipsoid and
+so its own Loewner ellipsoid.  D and V are A's singular values and right
+singular vectors, D shrunk by the same relative margin the certification
+applies, and ``logdet_trace`` is empty because no cut was made.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ VERTEX_TOL = 1e-7
 _INNER_TOL = 1e-7  # relative KKT gap that ends the MVEE weight solve of a refinement round
 _VERIFY_SAMPLES = 4096  # random directions that seed the certification ascent
 _PROBE_SEED = 24251  # Philox key of the random oracle starts and of certification
+_CERT_MARGIN = 1e-9  # relative growth of F past the largest certified quadratic form
 
 
 def pnorms(a: np.ndarray, p: float, points: np.ndarray) -> np.ndarray:
@@ -87,7 +93,6 @@ class LevelSet:
     a: np.ndarray
     p: float
     sigma_min: float = field(init=False)
-    sigma_max: float = field(init=False)
 
     def __post_init__(self):
         a = as_matrix(self.a, "a")
@@ -97,7 +102,6 @@ class LevelSet:
             raise RankDeficient("level set requires a matrix of full column rank")
         object.__setattr__(self, "a", frozen(a))
         object.__setattr__(self, "sigma_min", float(s[-1]))
-        object.__setattr__(self, "sigma_max", float(s[0]))
 
     @property
     def dim(self) -> int:
@@ -183,7 +187,10 @@ class LownerResult:
     matching orthonormal axis directions (columns), and ``ellipsoid`` the
     certified enclosing ellipsoid itself (origin-centered).  ``logdet_trace``
     records ln det(F) after the initial ball and after every cut; the raw
-    determinant underflows float64 for thin high-dimensional level sets.
+    determinant underflows float64 for thin high-dimensional level sets.  At
+    p = 2 no cut runs, so the trace is empty, the iteration counts are 0, and
+    a test that the trace strictly decreases (as ``lplr check`` makes) holds
+    vacuously.
     The cut iterate is recentered at the origin after every cut, so the cut
     stage makes only shallow cuts and ``iterations_central`` is always 0; the
     field stays because the report schema carries it.
@@ -538,17 +545,6 @@ def _ascend(level: LevelSet, minv: np.ndarray, starts: np.ndarray, iters: int):
     return best_val, level.boundary(best_u)
 
 
-def _p2_extreme_direction(level: LevelSet, minv: np.ndarray) -> np.ndarray:
-    # At p = 2 the most protruding boundary direction is the top generalized
-    # eigenvector of (M^-1, A^T A); solved exactly through a Cholesky change
-    # of basis so the refinement cannot stall on ascent quality.
-    lb = np.linalg.cholesky(level.a.T @ level.a)
-    inner = np.linalg.solve(lb, np.linalg.solve(lb, minv.T).T)
-    _, vecs = np.linalg.eigh(0.5 * (inner + inner.T))
-    x = np.linalg.solve(lb.T, vecs[:, -1])
-    return x / np.linalg.norm(x)
-
-
 def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarray], cfg: LownerConfig):
     """Column-generation stage; returns (M_inverse, fw_steps)."""
     d = level.dim
@@ -587,11 +583,6 @@ def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarra
             [warm[:c_warm], np.linalg.eigh(minv)[1].T[::-1][:c_eig], rand[:c_rand]], axis=0
         )
         vals, cand = _ascend(level, minv, starts, cfg.oracle_iters)
-        if level.p == 2:
-            x2 = _p2_extreme_direction(level, minv)
-            b2 = level.boundary(x2[None, :])
-            vals = np.append(vals, float(b2[0] @ (minv @ b2[0])))
-            cand = np.concatenate([cand, b2], axis=0)
         kappa = float(np.max(vals))
         if kappa <= d * (1.0 + cfg.refine_tol) or fw_steps >= max_refine:
             break
@@ -637,10 +628,7 @@ def _certified_shape(level: LevelSet, minv: np.ndarray, cfg: LownerConfig) -> np
     starts = np.concatenate([np.linalg.eigh(minv)[1].T, pts_s[np.argsort(vals_s)[-min(4 * d, top) :]]], axis=0)
     vals_a, _ = _ascend(level, minv, starts, 2 * cfg.oracle_iters)
     qmax = float(max(vals_s.max(), vals_a.max()))
-    if level.p == 2:
-        x2 = level.boundary(_p2_extreme_direction(level, minv)[None, :])[0]
-        qmax = max(qmax, float(x2 @ (minv @ x2)))
-    scale = qmax * (1.0 + 1e-9)
+    scale = qmax * (1.0 + _CERT_MARGIN)
     return np.linalg.inv(minv) * scale
 
 
@@ -661,40 +649,51 @@ def _extract_axes(shape: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
     """Loewner ellipsoid of {x : ||Ax||_p <= 1} as a (D, V) pair.
 
-    Requires d >= 2 and A of full column rank.  Raises NoConvergence when the
-    iteration budgets are exhausted before the contracted-vertex test and the
-    refinement tolerance are met; the exception carries the best iterate.
+    Requires d >= 2 and A of full column rank.  At p = 2 the result is A's
+    SVD in closed form (see the module docstring).  Otherwise raises
+    NoConvergence when the iteration budgets are exhausted before the
+    contracted-vertex test and the refinement tolerance are met; the
+    exception carries the best iterate.
     """
     level = a if isinstance(a, LevelSet) else LevelSet(as_matrix(a, "a"), p)
     if level.dim < 2:
         raise DimensionTooSmall("lowner requires dimension >= 2")
     cfg = cfg or LownerConfig()
 
-    e_cut, central, shallow, dets, contacts = _cut_phase(level, cfg)
-    try:
-        minv, fw_steps = _refine(level, e_cut, contacts, cfg)
-    except NoConvergence as exc:
-        if exc.best is None:
-            dvals, v = _extract_axes(e_cut.shape)
-            exc.best = LownerResult(
-                D=dvals,
-                V=v,
-                ellipsoid=e_cut,
-                iterations_central=central,
-                iterations_shallow=shallow,
-                iterations_refine=0,
-                logdet_trace=np.asarray(dets),
-            )
-        raise
-    shape = _certified_shape(level, minv, cfg)
-    if np.linalg.slogdet(shape)[1] > dets[-1]:
-        shape = e_cut.shape  # refinement never improved on the rigorous cut iterate
-    final = Ellipsoid(np.zeros(level.dim), shape)
+    if level.p == 2:
+        # D and V come from the SVD itself: recovered from F, D would lose
+        # relative accuracy that grows like cond(A)^2.
+        _, s, v = svd(level.a)
+        dvals = s / math.sqrt(1.0 + _CERT_MARGIN)
+        final = Ellipsoid(np.zeros(level.dim), (v / (dvals * dvals)) @ v.T)
+        central = shallow = fw_steps = 0
+        dets = []
+    else:
+        e_cut, central, shallow, dets, contacts = _cut_phase(level, cfg)
+        try:
+            minv, fw_steps = _refine(level, e_cut, contacts, cfg)
+        except NoConvergence as exc:
+            if exc.best is None:
+                dvals, v = _extract_axes(e_cut.shape)
+                exc.best = LownerResult(
+                    D=dvals,
+                    V=v,
+                    ellipsoid=e_cut,
+                    iterations_central=central,
+                    iterations_shallow=shallow,
+                    iterations_refine=0,
+                    logdet_trace=np.asarray(dets),
+                )
+            raise
+        shape = _certified_shape(level, minv, cfg)
+        if np.linalg.slogdet(shape)[1] > dets[-1]:
+            shape = e_cut.shape  # refinement never improved on the rigorous cut iterate
+        final = Ellipsoid(np.zeros(level.dim), shape)
+        dvals, v = _extract_axes(final.shape)
 
     gamma = cfg.contraction_factor(level.dim)
     tol = VERTEX_TOL if cfg.contraction == "inv-d" else VERTEX_TOL + 10.0 * cfg.refine_tol
     verts = contracted_vertices(final, gamma)
-    dvals, v = _extract_axes(final.shape)
     result = LownerResult(
         D=dvals,
         V=v,

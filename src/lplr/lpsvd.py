@@ -180,10 +180,10 @@ def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> 
     return ConditionerResult(R=r_scaled, U=u, distortion=khat, sketch_rows=sa.shape[0])
 
 
-def lp_svd_randomized(a, p: float, seed: int = 0, sketch: str = "auto") -> LpSvd:
-    """Randomized ||.||_p-SVD: (D, V) from the SVD of the conditioner R."""
+def lp_svd_randomized(a, p: float, seed: int = 0) -> LpSvd:
+    """Randomized ||.||_p-SVD: (D, V) from the SVD of the default-sketch conditioner R."""
     a = as_matrix(a, "a")
-    cond = randomized_conditioner(a, p, seed=seed, sketch=sketch)
+    cond = randomized_conditioner(a, p, seed=seed)
     _, dvals, v = svd(cond.R)
     return _finish(a, dvals, v, p, cond.distortion, "randomized", {"central": 0, "shallow": 0, "refine": 0})
 

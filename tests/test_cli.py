@@ -115,10 +115,12 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert r1 == r2
 
 
-def test_check_passes_on_healthy_input(tmp_path, capsys):
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_check_passes_on_healthy_input(tmp_path, capsys, p):
+    # At p = 2 no cut runs, so the det(F) check passes on an empty trace.
     path = tmp_path / "a.lplr"
     main(["synth", "--n", "50", "--d", "5", "--k-true", "2", "--noise", "0.2", "--seed", "2", "--out", str(path)])
-    assert main(["check", "--input", str(path), "--p", "1"]) == 0
+    assert main(["check", "--input", str(path), "--p", p]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3 and "FAIL" not in out
 

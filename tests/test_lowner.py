@@ -5,6 +5,7 @@ import pytest
 
 from lplr import SyntheticSpec, generate_synthetic
 from lplr.errors import DimensionTooSmall, NoConvergence, NotPositiveDefinite, RankDeficient, ZeroGradient
+from lplr.factor import assemble, l2_low_rank, lp_low_rank
 from lplr.lowner import (
     DIRECTION_BLOCK,
     VERTEX_TOL,
@@ -20,6 +21,7 @@ from lplr.lowner import (
     shallow_cut,
     subgradient,
 )
+from lplr.matcore import entrywise_pnorm_pow
 
 from oracles import central_diff_grad, mvee_axis_reciprocals, reference_ascend, reference_cut_loop
 
@@ -285,10 +287,37 @@ class TestLowner:
         res = lowner(np.eye(2), 2.0)
         np.testing.assert_allclose(res.D, [1.0, 1.0], rtol=1e-6)
 
-    def test_ellipsoid_is_its_own_enclosure(self):
-        res = lowner(np.diag([2.0, 1.0]), 2.0)
-        np.testing.assert_allclose(res.D, [2.0, 1.0], rtol=1e-6)
-        np.testing.assert_allclose(np.abs(res.V), np.eye(2), atol=1e-6)
+    @pytest.mark.parametrize("name", ["diag-2x2", "planted-200x8", "planted-200x16", "planted-2000x16",
+                                      "cond1e6-50x6", "square-6x6"])
+    def test_ellipsoid_is_its_own_enclosure(self, name):
+        # At p = 2 the level set is an ellipsoid: D and V are A's SVD, up to
+        # the certification margin, and no cut or refinement step runs.
+        if name == "diag-2x2":
+            a = np.diag([2.0, 1.0])
+        elif name.startswith("planted"):
+            n, d = map(int, name.split("-")[1].split("x"))
+            a = np.array(planted(n, d, n + d))
+        elif name == "cond1e6-50x6":
+            rng = np.random.default_rng(7)
+            u = np.linalg.qr(rng.normal(size=(50, 6)))[0]
+            v = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+            a = (u * np.logspace(0, -6, 6)) @ v.T
+        else:
+            a = np.random.default_rng(3).normal(size=(6, 6))
+        d = a.shape[1]
+        res = lowner(a, 2.0)
+        _, s, vh = np.linalg.svd(a)
+        np.testing.assert_allclose(res.D, s, rtol=1e-8)
+        np.testing.assert_allclose(np.abs(res.V.T @ vh.T), np.eye(d), atol=1e-8)
+        boundary = LevelSet(a, 2.0).boundary(np.random.default_rng(8).normal(size=(1000, d)))
+        q = np.linalg.norm((boundary @ res.V) * res.D, axis=1) ** 2
+        assert q.min() >= 1.0 - 1e-8 and q.max() <= 1.0
+        assert (res.iterations_central, res.iterations_shallow, res.iterations_refine) == (0, 0, 0)
+        assert res.logdet_trace.size == 0
+        for k in range(1, d):
+            lp = entrywise_pnorm_pow(a - assemble(lp_low_rank(a, k, 2.0)), 2.0)
+            sv = entrywise_pnorm_pow(a - assemble(l2_low_rank(a, k)), 2.0)
+            assert lp == pytest.approx(sv, rel=1e-10)
 
     def test_cross_polytope_against_khachiyan_oracle(self):
         res = lowner(np.eye(2), 1.0)
