@@ -13,6 +13,10 @@ class InvalidP(LplrError):
     """Norm exponent p is not a finite number >= 1."""
 
 
+class InvalidConfig(LplrError):
+    """A solver setting is outside its allowed range; the message names the field."""
+
+
 class InvalidRank(LplrError):
     """Target rank k is outside [1, d - 1]."""
 

@@ -38,12 +38,14 @@ applies, and ``logdet_trace`` is empty because no cut was made.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     DimensionTooSmall,
+    InvalidConfig,
     NoConvergence,
     NotPositiveDefinite,
     RankDeficient,
@@ -54,12 +56,17 @@ from .errors import (
 from .matcore import as_matrix, as_vector, check_p, cholesky, frozen, svd, vector_pnorm
 from .rng import philox
 
-#: Directions per block in the batched norm sweeps, which bounds their n x block
-#: temporaries on tall inputs.  The remainder joins the last block: with OpenBLAS
-#: 0.3.31 at one thread, blocks of 256 plus a tail of at least 256 reproduced the
-#: single product bit for bit on every C-ordered shape tried, while a narrow tail
-#: block often changed the last bit (the GEMM kernel depends on the block's shape).
+#: Directions per block in :func:`pnorms`.  The remainder joins the last block:
+#: with OpenBLAS 0.3.31 at one thread, blocks of 256 plus a tail of at least 256
+#: reproduced the single product bit for bit on every C-ordered shape tried,
+#: while a narrow tail block often changed the last bit (the GEMM kernel depends
+#: on the block's shape).
 DIRECTION_BLOCK = 256
+
+#: Rows of A per chunk of :func:`_norm_pass`, which bounds its temporaries to
+#: chunk x directions however tall A is.  An A of at most this many rows is one
+#: chunk and gives exactly the one-product result.
+_ROW_CHUNK = 2048
 
 #: Slack in ||Ax||_p <= 1 + tol for :func:`member`.
 MEMBERSHIP_TOL = 1e-9
@@ -71,19 +78,62 @@ _PROBE_SEED = 24251  # Philox key of the random oracle starts and of certificati
 _CERT_MARGIN = 1e-9  # relative growth of F past the largest certified quadratic form
 
 
+def _norm_pass(a: np.ndarray, p: float, points: np.ndarray, grad: bool = False, work: np.ndarray | None = None):
+    """(||A x||_p, gradient columns or None) for each row x of ``points``, in row chunks of A.
+
+    Each chunk of ``_ROW_CHUNK`` rows adds its share of sum |Ax|^p and, with
+    ``grad``, of A^T (sign(Ax) |Ax|^(p-1)); the 1/p root and the division of the
+    gradient by ||Ax||_p^(p-1) come after the last chunk.  Column i of the
+    gradient is the gradient of x -> ||Ax||_p at row i of ``points``.
+
+    ``work`` holds the chunk's A x and its elementwise transform, shape
+    (2, min(n, _ROW_CHUNK), len(points)).  A caller that makes many passes
+    passes one buffer to all of them: freeing fresh temporaries after every
+    pass let the C allocator hand their pages back to the system, and a 2000 x
+    16 ascent with 48 starts then spent most of its time in page faults.
+    """
+    if work is None:
+        work = np.empty((2, min(a.shape[0], _ROW_CHUNK), points.shape[0]))
+    total = gcols = None
+    for lo in range(0, a.shape[0], _ROW_CHUNK):
+        ac = a[lo : lo + _ROW_CHUNK]
+        y = np.matmul(ac, points.T, out=work[0, : ac.shape[0]])
+        w = work[1, : ac.shape[0]]
+        if p == 2:
+            part = np.multiply(y, y, out=w).sum(axis=0)
+        else:
+            np.abs(y, out=w)
+            part = w.sum(axis=0) if p == 1 else (w**p).sum(axis=0)
+        total = part if total is None else np.add(total, part, out=total)
+        if grad:
+            if p == 1:
+                gpart = ac.T @ np.sign(y, out=w)
+            elif p == 2:
+                gpart = ac.T @ y
+            else:
+                w **= p - 1.0  # in place, ** runs numpy's faster sqrt/square loops at exponents 0.5 and 2
+                gpart = ac.T @ np.copysign(w, y, out=w)
+            gcols = gpart if gcols is None else np.add(gcols, gpart, out=gcols)
+    if p == 1:
+        return total, gcols
+    z = np.sqrt(total) if p == 2 else total ** (1.0 / p)
+    if grad:
+        gcols /= z if p == 2 else z ** (p - 1.0)
+    return z, gcols
+
+
 def pnorms(a: np.ndarray, p: float, points: np.ndarray) -> np.ndarray:
-    """||A x||_p for each row x of ``points``, in direction blocks when there are many."""
+    """||A x||_p for each row x of ``points``.
+
+    Many directions go in blocks of ``DIRECTION_BLOCK``, and each block streams
+    A through :func:`_norm_pass` in row chunks, so no temporary grows with n.
+    """
     points = np.atleast_2d(points)
     count = points.shape[0]
     if count >= 2 * DIRECTION_BLOCK:
         cuts = list(range(0, count - DIRECTION_BLOCK + 1, DIRECTION_BLOCK)) + [count]
         return np.concatenate([pnorms(a, p, points[i:j]) for i, j in zip(cuts, cuts[1:])])
-    y = np.abs(a @ points.T)
-    if p == 1:
-        return y.sum(axis=0)
-    if p == 2:
-        return np.sqrt((y * y).sum(axis=0))
-    return (y**p).sum(axis=0) ** (1.0 / p)
+    return _norm_pass(a, p, points)[0]
 
 
 @dataclass(frozen=True)
@@ -162,6 +212,10 @@ class LownerConfig:
     oracle_iters: ascent iterations per oracle start (twice that in the
         certification polish).
     slack: relative margin of the reported distortion sqrt(d) (1 + slack).
+
+    A contraction outside the two names, an ``oracle_iters`` or ``max_outer``
+    below 1, a ``phase1_cuts`` below 0, or a ``refine_tol`` or ``slack`` that
+    is negative or not finite raises :class:`InvalidConfig` naming the field.
     """
 
     contraction: str = "inv-d"
@@ -171,12 +225,23 @@ class LownerConfig:
     oracle_iters: int = 60
     slack: float = 0.1
 
+    def __post_init__(self):
+        if self.contraction not in ("inv-d", "inv-sqrt-d"):
+            raise InvalidConfig(f"contraction must be 'inv-d' or 'inv-sqrt-d', got {self.contraction!r}")
+        # Written as not (bounds hold) so that NaN fails too; None keeps a count's default.
+        for name, least in (("phase1_cuts", 0), ("max_outer", 1), ("oracle_iters", 1)):
+            value = getattr(self, name)
+            if value is None and name != "oracle_iters":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value >= least:
+                raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("refine_tol", "slack"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+                raise InvalidConfig(f"{name} must be a finite number >= 0, got {value!r}")
+
     def contraction_factor(self, d: int) -> float:
-        if self.contraction == "inv-d":
-            return 1.0 / d
-        if self.contraction == "inv-sqrt-d":
-            return 1.0 / math.sqrt(d)
-        raise ValueError(f"unknown contraction {self.contraction!r}")
+        return 1.0 / d if self.contraction == "inv-d" else 1.0 / math.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -504,45 +569,37 @@ def _mvee_weights(points: np.ndarray, w: np.ndarray, tol: float, max_steps: int)
 def _ascend(level: LevelSet, minv: np.ndarray, starts: np.ndarray, iters: int):
     """Multi-start projected ascent of x^T M^-1 x over the boundary of L.
 
-    ``starts`` has unit rows; returns (values, boundary points) for the best
-    iterate of every start.  The objective is scale-invariant, so iterates
-    live on the unit sphere and are mapped to the boundary only on output.
-    All ``iters`` iterates are scored; the last one is scored and not moved,
-    since no result reads a further step.
+    ``starts`` has unit rows and ``iters`` is at least 1; returns (values,
+    boundary points) for the best iterate of every start.  The objective is
+    scale-invariant, so iterates live on the unit sphere and are mapped to the
+    boundary only on output, by the norm the iterate was scored with.  Each
+    iteration is one :func:`_norm_pass` over A; all ``iters`` iterates are
+    scored, and the last one is scored without a gradient and not moved, since
+    no result reads a further step.
     """
     u = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    p = level.p
-    a = level.a
     best_val = np.full(u.shape[0], -np.inf)
     best_u = u.copy()
+    work = np.empty((2, min(level.a.shape[0], _ROW_CHUNK), u.shape[0]))
     step = 0.25
     for it in range(iters):
-        y = a @ u.T
-        if p == 2:
-            z = np.sqrt((y * y).sum(axis=0))
-        else:
-            absy = np.abs(y)
-            z = absy.sum(axis=0) if p == 1 else (absy**p).sum(axis=0) ** (1.0 / p)
+        last = it == iters - 1
+        z, gcols = _norm_pass(level.a, level.p, u, grad=not last, work=work)
         qu = (minv @ u.T).T
         j = np.einsum("ij,ij->i", u, qu) / (z * z)
         improved = j > best_val
         best_val[improved] = j[improved]
         best_u[improved] = u[improved]
-        if it == iters - 1:
+        # best_u starts as the first iterate, so a start that never improves keeps its z.
+        best_z = np.where(improved, z, best_z) if it else z
+        if last:
             break
-        if p == 1:
-            gcols = a.T @ np.sign(y)
-        elif p == 2:
-            gcols = (a.T @ y) / z
-        else:
-            t = absy ** (p - 1.0)  # ** runs numpy's faster sqrt/square loops at exponents 0.5 and 2
-            gcols = (a.T @ np.copysign(t, y, out=t)) / z ** (p - 1.0)
         grad = qu - (j * z)[:, None] * gcols.T
         gnorm = np.linalg.norm(grad, axis=1, keepdims=True)
         u = u + step * grad / np.maximum(gnorm, 1e-30)
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         step *= 0.93
-    return best_val, level.boundary(best_u)
+    return best_val, best_u / best_z[:, None]
 
 
 def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarray], cfg: LownerConfig):

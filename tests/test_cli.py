@@ -115,6 +115,25 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert r1 == r2
 
 
+def test_sweep_of_tall_input_matches_across_workers(tmp_path):
+    # 3000 rows: the conditioner, its probes and the sandwich check stream A in row chunks.
+    path = tmp_path / "a.lplr"
+    spec = SyntheticSpec(n=3000, d=6, k_true=2, outlier_fraction=0.05, noise_sigma=0.01, outlier_scale=20.0, seed=4)
+    store_matrix(path, generate_synthetic(spec))
+    args = ["sweep", "--input", str(path), "--ks", "2,4", "--ps", "1,1.5,4", "--methods", "randomized,svd",
+            "--seed", "6"]
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"s{workers}.json"
+        assert main(args + ["--report", str(out), "--workers", workers]) == 0
+        reports.append(json.loads(out.read_text()))
+    assert len(reports[0]) == 12
+    for rows in reports:
+        for row in rows:
+            assert row.pop("wall_time_ms") >= 0.0
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("p", ["1", "2"])
 def test_check_passes_on_healthy_input(tmp_path, capsys, p):
     # At p = 2 no cut runs, so the det(F) check passes on an empty trace.

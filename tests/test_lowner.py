@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from lplr import SyntheticSpec, generate_synthetic
-from lplr.errors import DimensionTooSmall, NoConvergence, NotPositiveDefinite, RankDeficient, ZeroGradient
+from lplr.errors import (
+    DimensionTooSmall,
+    InvalidConfig,
+    LplrError,
+    NoConvergence,
+    NotPositiveDefinite,
+    RankDeficient,
+    ZeroGradient,
+)
 from lplr.factor import assemble, l2_low_rank, lp_low_rank
 from lplr.lowner import (
     DIRECTION_BLOCK,
@@ -53,6 +61,16 @@ def test_level_set_is_centrally_symmetric():
         assert member(level, x) == member(level, -x)
 
 
+def one_product_norms(a, p, pts):
+    """||A x||_p for each row of ``pts`` from one product over all rows of A."""
+    y = np.abs(a @ pts.T)
+    if p == 1:
+        return y.sum(axis=0)
+    if p == 2:
+        return np.sqrt((y * y).sum(axis=0))
+    return (y**p).sum(axis=0) ** (1.0 / p)
+
+
 # The conditioner's 1000 probes and certification's 4096 samples take the blocked path.
 @pytest.mark.parametrize("count", [2 * DIRECTION_BLOCK, 1000, 4096])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
@@ -60,14 +78,28 @@ def test_level_set_norms_blocks_match_one_product(count, p):
     rng = np.random.default_rng(13)
     a = rng.normal(size=(2000, 16))
     pts = rng.normal(size=(count, 16))
-    y = np.abs(a @ pts.T)
-    if p == 1:
-        expected = y.sum(axis=0)
-    elif p == 2:
-        expected = np.sqrt((y * y).sum(axis=0))
+    np.testing.assert_array_equal(LevelSet(a, p).norms(pts), one_product_norms(a, p, pts))
+
+
+# 600 directions are two direction blocks; 2048 rows are one row chunk, and the
+# taller inputs end in a chunk of 1, 1 and 1568 rows.
+@pytest.mark.parametrize("n", [2048, 2049, 4097, 20000])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("layout", ["rows", "transposed view"])
+def test_level_set_norms_row_chunks_match_one_product(n, p, layout):
+    assert lowner_module._ROW_CHUNK == 2048
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, 6))
+    if layout == "transposed view":
+        a = np.ascontiguousarray(a.T).T
+    pts = rng.normal(size=(600, 6))
+    got = LevelSet(a, p).norms(pts)
+    if n <= lowner_module._ROW_CHUNK:
+        np.testing.assert_array_equal(got, one_product_norms(a, p, pts))
     else:
-        expected = (y**p).sum(axis=0) ** (1.0 / p)
-    np.testing.assert_array_equal(LevelSet(a, p).norms(pts), expected)
+        # The reference in slices of 100 directions keeps its n x 100 temporaries small.
+        expected = np.concatenate([one_product_norms(a, p, pts[i : i + 100]) for i in range(0, 600, 100)])
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
 
 
 class TestInitialBall:
@@ -280,6 +312,58 @@ class TestAscend:
         ref_vals, ref_pts = reference_ascend(level, minv, x, iters)
         assert vals.tobytes() == ref_vals.tobytes()
         assert pts.tobytes() == ref_pts.tobytes()
+
+    # Above _ROW_CHUNK rows A x and the gradient are summed chunk by chunk, so
+    # the values agree with the one-product reference to rounding, not bit for bit.
+    @pytest.mark.parametrize("n", [2049, 5000])
+    @pytest.mark.parametrize("iters", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_row_chunks_match_reference(self, p, iters, n):
+        a = np.array(planted(n, 8, n))
+        level = LevelSet(a, p)
+        rng = np.random.default_rng(n + iters)
+        minv = random_pd(rng, 8, spread=2.0)
+        x = rng.standard_normal((300, 8))
+        vals, pts = lowner_module._ascend(level, minv, x, iters)
+        ref_vals, ref_pts = reference_ascend(level, minv, x, iters)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=0)
+        # Points row by row: a coordinate that cancels to 1e-9 of its row keeps
+        # only the row's absolute accuracy.
+        row_err = np.linalg.norm(pts - ref_pts, axis=1) / np.linalg.norm(ref_pts, axis=1)
+        assert row_err.max() <= 1e-12
+
+
+class TestLownerConfig:
+    # One bad value per field, then the NaN, infinite and non-integer forms.
+    # The first six would otherwise fail late or not at all: oracle_iters=0
+    # divided by zero, a bogus contraction raised ValueError, slack=-2 became
+    # the reported distortion, refine_tol=-1 ran every round and then raised
+    # NoConvergence, and phase1_cuts=-5 ran as 0.
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("contraction", "bogus"),
+            ("phase1_cuts", -5),
+            ("refine_tol", -1.0),
+            ("max_outer", 0),
+            ("oracle_iters", 0),
+            ("slack", -2.0),
+            ("refine_tol", float("nan")),
+            ("slack", float("inf")),
+            ("oracle_iters", 2.5),
+            ("max_outer", True),
+        ],
+    )
+    def test_rejects_field_out_of_range(self, field, value):
+        with pytest.raises(InvalidConfig, match=field):
+            LownerConfig(**{field: value})
+
+    def test_accepts_bounds_and_defaults(self):
+        cfg = LownerConfig(contraction="inv-sqrt-d", phase1_cuts=0, refine_tol=0.0, max_outer=1,
+                           oracle_iters=np.int64(1), slack=0.0)
+        assert cfg.contraction_factor(4) == 0.5
+        assert issubclass(InvalidConfig, LplrError)
+        assert LownerConfig().contraction_factor(4) == 0.25
 
 
 class TestLowner:

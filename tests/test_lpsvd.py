@@ -1,9 +1,10 @@
+import importlib
 import time
 
 import numpy as np
 import pytest
 
-from lplr import lpsvd
+from lplr import SyntheticSpec, generate_synthetic, lpsvd
 from lplr.errors import RankDeficient, ShapeMismatch
 from lplr.lowner import DIRECTION_BLOCK, LevelSet, LownerConfig
 from lplr.lpsvd import lp_svd, lp_svd_randomized, randomized_conditioner, sandwich_check
@@ -11,18 +12,28 @@ from lplr.rng import philox
 
 from oracles import mvee_axis_reciprocals
 
+# The package attribute ``lplr.lowner`` is the function, not the module.
+lowner_module = importlib.import_module("lplr.lowner")
+
 
 def ratio_samples(a, p, d_diag, v, xs):
     return LevelSet(a, p).norms(xs) / np.linalg.norm((xs @ v) * d_diag, axis=1)
 
 
-def one_product_sandwich(a, p, d_diag, v, num_samples=1000, seed=424242):
-    """sandwich_check's ratios from a single product over all directions."""
+def sandwich_dirs(v, num_samples=1000, seed=424242):
     dirs = philox(seed, stream=0).standard_normal((num_samples, v.shape[0]))
-    dirs = np.concatenate([dirs, v.T, -v.T], axis=0)
+    return np.concatenate([dirs, v.T, -v.T], axis=0)
+
+
+def one_product_numerators(a, p, dirs):
     y = np.abs(a @ dirs.T)
-    num = y.sum(axis=0) if p == 1 else (y**p).sum(axis=0) ** (1.0 / p)
-    ratios = num / np.linalg.norm((dirs @ v) * d_diag[None, :], axis=1)
+    return y.sum(axis=0) if p == 1 else (y**p).sum(axis=0) ** (1.0 / p)
+
+
+def one_product_sandwich(a, p, d_diag, v):
+    """sandwich_check's ratios from a single product over all directions."""
+    dirs = sandwich_dirs(v)
+    ratios = one_product_numerators(a, p, dirs) / np.linalg.norm((dirs @ v) * d_diag[None, :], axis=1)
     return float(ratios.min()), float(ratios.max())
 
 
@@ -96,6 +107,17 @@ class TestRandomizedConditioner:
         cond = randomized_conditioner(a, 1.0, seed=11)
         xs = np.random.default_rng(999).normal(size=(1000, 3))
         ratios = LevelSet(a, 1.0).norms(xs) / np.linalg.norm(xs @ cond.R.T, axis=1)
+        assert ratios.min() >= 1.0 - 1e-6
+
+    # 5000 rows: the conditioner's probes and its 120-iteration ascent run in row chunks.
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    def test_lower_inequality_on_tall_planted_input(self, p):
+        spec = SyntheticSpec(n=5000, d=8, k_true=2, outlier_fraction=0.05, noise_sigma=0.01,
+                             outlier_scale=20.0, seed=5)
+        a = generate_synthetic(spec)
+        cond = randomized_conditioner(a, p, seed=3)
+        xs = np.random.default_rng(77).normal(size=(1000, 8))
+        ratios = LevelSet(a, p).norms(xs) / np.linalg.norm(xs @ cond.R.T, axis=1)
         assert ratios.min() >= 1.0 - 1e-6
 
     def test_deterministic_under_seed(self):
@@ -208,3 +230,23 @@ class TestSandwichCheck:
             a = np.ascontiguousarray(a.T).T  # what evaluate() hands over for a wide input
         _, s, vt = np.linalg.svd(a, full_matrices=False)
         assert sandwich_check(a, p, s, vt.T) == one_product_sandwich(a, p, s, vt.T)
+
+    # Inputs taller than one row chunk of A are summed chunk by chunk: equal to
+    # the one-product ratios to rounding, and bit for bit up to one chunk.
+    @pytest.mark.parametrize("n", [2048, 2049, 4097, 20000])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("layout", ["rows", "transposed view"])
+    def test_row_chunks_match_one_product(self, n, p, layout):
+        a = np.random.default_rng(n).normal(size=(n, 8))
+        if layout == "transposed view":
+            a = np.ascontiguousarray(a.T).T
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
+        got = sandwich_check(a, p, s, vt.T)
+        if n <= lowner_module._ROW_CHUNK:
+            assert got == one_product_sandwich(a, p, s, vt.T)
+        else:
+            # Numerators in slices of 127 directions keep the reference's n x 127 temporaries small.
+            dirs = sandwich_dirs(vt.T)
+            num = np.concatenate([one_product_numerators(a, p, dirs[i : i + 127]) for i in range(0, len(dirs), 127)])
+            ratios = num / np.linalg.norm((dirs @ vt.T) * s[None, :], axis=1)
+            np.testing.assert_allclose(got, (ratios.min(), ratios.max()), rtol=1e-13, atol=0)

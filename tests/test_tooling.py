@@ -2,20 +2,30 @@
 
 import importlib
 import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from lplr.lpsvd import randomized_conditioner
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
 
-def test_traced_layers_resolve_to_callables():
-    # perfbench/run.py --trace 1 wraps each (module, attribute) of LAYERS; a
-    # deleted or renamed function would only show up when a traced run fails.
+def load_layertrace():
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_traced_layers_resolve_to_callables():
+    # perfbench/run.py --trace 1 wraps each (module, attribute) of LAYERS; a
+    # deleted or renamed function would only show up when a traced run fails.
+    layertrace = load_layertrace()
     assert layertrace.LAYERS
     missing = [
         (module, attr)
@@ -32,3 +42,22 @@ def test_benchmark_smoke_passes():
     proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_ascend_arguments_are_what_the_trace_reads():
+    # layertrace counts lowner.ascend.point_iters and gflop by unpacking
+    # _ascend's first four positional arguments as (level, minv, starts, iters)
+    # and reading level.a; a reordered signature would zero or garble both.
+    lowner = importlib.import_module("lplr.lowner")
+    assert list(inspect.signature(lowner._ascend).parameters)[:4] == ["level", "minv", "starts", "iters"]
+    a = np.random.default_rng(3).normal(size=(60, 4))
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        randomized_conditioner(a, 1.5, seed=1)
+    finally:
+        tracer.uninstall()
+    # The conditioner's one ascent: d eigenvector starts plus 32 random ones, 120 iterations each.
+    point_iters = (4 + 32) * 120
+    assert tracer.counters["lowner.ascend.point_iters"] == point_iters
+    assert tracer.counters["lowner.ascend.gflop"] == point_iters * 4.0 * 60 * 4 / 1e9
