@@ -86,6 +86,13 @@ def _norm_pass(a: np.ndarray, p: float, points: np.ndarray, grad: bool = False, 
     gradient by ||Ax||_p^(p-1) come after the last chunk.  Column i of the
     gradient is the gradient of x -> ||Ax||_p at row i of ``points``.
 
+    At p outside {1, 2} each entry y of A x is raised to a power once: the
+    signed weight w = sign(y) |y|^(p-1) gives sum |y|^p as the row sum of w y
+    and is also the gradient's weight.  The one ``**`` runs numpy's sqrt loop
+    at p = 1.5 and its square loop at p = 3; at p = 4, w is y y y.  With or
+    without ``grad`` the norm is computed the same way, so every batched norm
+    rounds alike.
+
     ``work`` holds the chunk's A x and its elementwise transform, shape
     (2, min(n, _ROW_CHUNK), len(points)).  A caller that makes many passes
     passes one buffer to all of them: freeing fresh temporaries after every
@@ -99,20 +106,24 @@ def _norm_pass(a: np.ndarray, p: float, points: np.ndarray, grad: bool = False, 
         ac = a[lo : lo + _ROW_CHUNK]
         y = np.matmul(ac, points.T, out=work[0, : ac.shape[0]])
         w = work[1, : ac.shape[0]]
-        if p == 2:
+        if p == 1:
+            part = np.abs(y, out=w).sum(axis=0)
+            if grad:
+                np.sign(y, out=w)
+        elif p == 2:
             part = np.multiply(y, y, out=w).sum(axis=0)
+            w = y
         else:
-            np.abs(y, out=w)
-            part = w.sum(axis=0) if p == 1 else (w**p).sum(axis=0)
+            if p == 4:
+                np.multiply(np.multiply(y, y, out=w), y, out=w)
+            else:
+                np.abs(y, out=w)
+                w **= p - 1.0
+                np.copysign(w, y, out=w)
+            part = np.einsum("ij,ij->j", w, y)
         total = part if total is None else np.add(total, part, out=total)
         if grad:
-            if p == 1:
-                gpart = ac.T @ np.sign(y, out=w)
-            elif p == 2:
-                gpart = ac.T @ y
-            else:
-                w **= p - 1.0  # in place, ** runs numpy's faster sqrt/square loops at exponents 0.5 and 2
-                gpart = ac.T @ np.copysign(w, y, out=w)
+            gpart = ac.T @ w
             gcols = gpart if gcols is None else np.add(gcols, gpart, out=gcols)
     if p == 1:
         return total, gcols
@@ -317,18 +328,6 @@ def _cut_vector(f: np.ndarray, h: np.ndarray) -> np.ndarray:
     if hfh <= 0.0:
         raise NotPositiveDefinite("H^T F H <= 0; shape matrix lost definiteness")
     return fh / math.sqrt(hfh)
-
-
-def central_cut(e: Ellipsoid, h) -> Ellipsoid:
-    """Classic ellipsoid-method update through the center, cutting off {H.x > H.c}."""
-    h = as_vector(h, e.dim, "h")
-    if not np.any(h):
-        raise ShapeMismatch("cut direction must be nonzero")
-    d = e.dim
-    b = _cut_vector(e.shape, h)
-    center = e.center - b / (d + 1.0)
-    shape = (d * d / (d * d - 1.0)) * (e.shape - (2.0 / (d + 1.0)) * np.outer(b, b))
-    return Ellipsoid(center, shape)
 
 
 def _shallow_update(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,9 +6,10 @@ ellipsoid {x : ||D V^T x||_2 <= 1} sandwiching the level set of A, so that
     ||D V^T x||_2 <= ||Ax||_p <= kappa ||D V^T x||_2     for all x,
 
 with kappa <= sqrt(d) for the deterministic (Loewner ellipsoid) path and a
-measured kappa for the sketched path.  U := A (D V^T)^-1 makes U D V^T = A
-exactly, so truncating D yields rank-k approximations with entry-wise
-p-norm error controlled by the sandwiched singular values.
+measured kappa for the sketched path (exactly 1 at p = 2, which needs no
+sketch).  U := A (D V^T)^-1 makes U D V^T = A exactly, so truncating D
+yields rank-k approximations with entry-wise p-norm error controlled by the
+sandwiched singular values.
 """
 
 from __future__ import annotations
@@ -28,14 +29,17 @@ _DESCENT_STREAM = 707
 _SKETCH_ATTEMPTS = 4  # sketch streams 0..3, tried in turn until one has full rank
 _SANDWICH_SAMPLES = 1000  # Gaussian directions of sandwich_check, besides the 2d axes
 _SANDWICH_SEED = 424242
+_LOWER_MARGIN = 1e-9  # relative shrink of R that keeps ||Rx||_2 <= ||Ax||_p through rounding
 
 
 @dataclass(frozen=True)
 class LpSvd:
     """A = U D V^T with the sandwich property at exponent p.
 
-    ``distortion`` is the certified upper ratio kappa: sqrt(d) (1 + slack)
-    for the deterministic path, the measured ratio for the randomized one.
+    ``distortion`` is the upper ratio kappa: sqrt(d) (1 + slack) for the
+    deterministic path.  For the randomized one it is the max/min ratio
+    ||Ax||_p / ||Rx||_2 over the conditioner's probes, and exactly 1 at p = 2,
+    where the conditioner is the input's own QR factor.
     ``iterations`` records the ellipsoid work that produced (D, V).
     """
 
@@ -55,7 +59,7 @@ class LpSvd:
 
 @dataclass(frozen=True)
 class ConditionerResult:
-    """Invertible R with ||Rx||_2 <= ||Ax||_p on all probed x, and U = A R^-1."""
+    """Invertible R with ||Rx||_2 <= ||Ax||_p on all probed x (all x at p = 2), and U = A R^-1."""
 
     R: np.ndarray
     U: np.ndarray
@@ -118,31 +122,38 @@ def _sketch(a: np.ndarray, p: float, rng: np.random.Generator, kind: str) -> np.
         sa = np.zeros((m, d))
         np.add.at(sa, buckets, a * scales[:, None])
         return sa
-    if p == 2.0:
-        m = 4 * d
-        return (rng.standard_normal((m, n)) / math.sqrt(m)) @ a
     m = min(n, int(math.ceil(8 * d * d * math.log(n))))
     rows = rng.integers(0, n, m)
     return a[rows] * (n / m) ** (1.0 / p)
 
 
 def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> ConditionerResult:
-    """Sketch-based conditioner: R = triangular factor of qr(S A), rescaled.
+    """Conditioner R with ||Rx||_2 <= ||Ax||_p (exact at p = 2, probed otherwise), and U = A R^-1.
 
-    The sketch S is a sparse p-stable embedding for p in [1, 2), a Gaussian
-    map for p = 2, and uniform row sampling for p > 2 (``sketch="identity"``
-    disables sketching, for tests).  After the QR, R is rescaled by the
-    smallest observed ratio ||Ax||_p / ||Rx||_2 (1000 fixed Gaussian probes
-    plus a multi-start descent to the minimizing direction), restoring the
-    one-sided guarantee ||Rx||_2 <= ||Ax||_p.  The reported distortion is the
-    max/min ratio over the fixed probes.  When every sketch attempt comes out
-    rank deficient, as on small square inputs, the unsketched A is used.
+    At p = 2 R is exact: ||Ax||_2 = ||R_A x||_2 for A = Q R_A, so R is the
+    triangular factor of qr(A) shrunk by the relative margin 1e-9, the
+    distortion is 1, and neither ``seed`` nor ``sketch`` changes the result.
+
+    Otherwise R is the triangular factor of qr(S A) for a sketch S: a sparse
+    p-stable embedding for p in [1, 2) and uniform row sampling for p > 2
+    (``sketch="identity"`` disables sketching, for tests).  After the QR, R is
+    rescaled by the smallest observed ratio ||Ax||_p / ||Rx||_2 (1000 fixed
+    Gaussian probes plus a multi-start descent to the minimizing direction),
+    restoring the one-sided guarantee on every probed x.  The reported
+    distortion is the max/min ratio over the fixed probes.  When every sketch
+    attempt comes out rank deficient, as on small square inputs, the
+    unsketched A is used.
     """
     a = as_matrix(a, "a")
     n, d = a.shape
     if n < d:
         raise ShapeMismatch(f"conditioner expects rows >= cols, got {n}x{d}")
     level = LevelSet(a, p)  # validates rank and p
+    if p == 2:
+        _, r = qr(a)
+        r_scaled = r * (1.0 - _LOWER_MARGIN)
+        u = np.linalg.solve(r_scaled.T, a.T).T  # U = A R^-1
+        return ConditionerResult(R=r_scaled, U=u, distortion=1.0, sketch_rows=n)
 
     # Bucket collisions, or rows sampled twice, can leave every sketch of a
     # small input rank deficient; A itself has the full rank LevelSet checked.
@@ -175,7 +186,7 @@ def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> 
     vals, _ = _ascend(level, r.T @ r, starts, 120)
     rmin_certified = min(float(ratios.min()), 1.0 / math.sqrt(float(vals.max())))
     khat = float(ratios.max() / ratios.min())
-    r_scaled = r * (rmin_certified * (1.0 - 1e-9))
+    r_scaled = r * (rmin_certified * (1.0 - _LOWER_MARGIN))
     u = np.linalg.solve(r_scaled.T, a.T).T  # U = A R^-1
     return ConditionerResult(R=r_scaled, U=u, distortion=khat, sketch_rows=sa.shape[0])
 

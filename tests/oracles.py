@@ -198,8 +198,10 @@ def reference_ascend(level, minv, starts, iters):
             z = np.sqrt((absy * absy).sum(axis=0))
             gcols = (a.T @ y) / z
         else:
-            z = (absy**p).sum(axis=0) ** (1.0 / p)
-            gcols = (a.T @ (np.sign(y) * absy ** (p - 1.0))) / z ** (p - 1.0)
+            # The signed weight sign(y) |y|^(p-1): sum |y|^p is sum w y.
+            w = y * y * y if p == 4 else np.sign(y) * absy ** (p - 1.0)
+            z = np.einsum("ij,ij->j", w, y) ** (1.0 / p)
+            gcols = (a.T @ w) / z ** (p - 1.0)
         qu = (minv @ u.T).T
         j = np.einsum("ij,ij->i", u, qu) / (z * z)
         improved = j > best_val

@@ -285,13 +285,13 @@ def _recorded_jobs(monkeypatch, synth_file, tmp_path, ks, ps, methods):
 
 def test_sweep_starts_costliest_jobs_first(monkeypatch, synth_file, tmp_path):
     jobs = _recorded_jobs(monkeypatch, synth_file, tmp_path, "2", "1,2,4,1.5,3", "svd,randomized,lowner")
-    order = [4.0, 3.0, 1.5, 2.0, 1.0]
+    order = [4.0, 3.0, 1.5, 1.0, 2.0]
     assert [(p, m) for _, p, m in jobs] == [(p, m) for m in ("lowner", "randomized", "svd") for p in order]
 
 
 def test_sweep_drops_duplicate_grid_values(monkeypatch, synth_file, tmp_path):
     jobs = _recorded_jobs(monkeypatch, synth_file, tmp_path, "4,2,2", "1,1.0,2", "svd,svd")
-    assert jobs == [([2, 4], 2.0, "svd"), ([2, 4], 1.0, "svd")]
+    assert jobs == [([2, 4], 1.0, "svd"), ([2, 4], 2.0, "svd")]
 
 
 def test_sweep_duplicates_write_each_row_once(tmp_path, synth_file):

@@ -21,7 +21,6 @@ from lplr.lowner import (
     LevelSet,
     LownerConfig,
     LownerResult,
-    central_cut,
     contracted_vertices,
     initial_ball,
     lowner,
@@ -63,12 +62,14 @@ def test_level_set_is_centrally_symmetric():
 
 def one_product_norms(a, p, pts):
     """||A x||_p for each row of ``pts`` from one product over all rows of A."""
-    y = np.abs(a @ pts.T)
+    prod = a @ pts.T
+    y = np.abs(prod)
     if p == 1:
         return y.sum(axis=0)
     if p == 2:
         return np.sqrt((y * y).sum(axis=0))
-    return (y**p).sum(axis=0) ** (1.0 / p)
+    w = prod * prod * prod if p == 4 else np.sign(prod) * y ** (p - 1.0)
+    return np.einsum("ij,ij->j", w, prod) ** (1.0 / p)
 
 
 # The conditioner's 1000 probes and certification's 4096 samples take the blocked path.
@@ -100,6 +101,26 @@ def test_level_set_norms_row_chunks_match_one_product(n, p, layout):
         # The reference in slices of 100 directions keeps its n x 100 temporaries small.
         expected = np.concatenate([one_product_norms(a, p, pts[i : i + 100]) for i in range(0, 600, 100)])
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+
+class TestNormPass:
+    # The one-power kernel and the plain |y|**p, |y|**(p-1) formula both err by
+    # at most 3e-15 here, so the rtol does not favour either rounding; the
+    # error is that of the float64 product A x.
+    @pytest.mark.parametrize("n,d", [(200, 8), (2048, 16)])
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+    def test_matches_extended_precision(self, p, n, d):
+        rtol = 1e-14
+        a = planted(n, d, n + d)
+        pts = np.random.default_rng(n).standard_normal((300, d))
+        y = a.astype(np.longdouble) @ pts.astype(np.longdouble).T
+        z_ref = (np.abs(y) ** p).sum(axis=0) ** (1 / np.longdouble(p))
+        g_ref = (a.astype(np.longdouble).T @ (np.sign(y) * np.abs(y) ** (p - 1))) / z_ref ** (p - 1)
+        z = lowner_module.pnorms(a, p, pts)
+        _, g = lowner_module._norm_pass(a, p, pts, grad=True)  # the gradient _ascend steps along
+        assert np.max(np.abs(z - z_ref) / z_ref) <= rtol
+        # Column by column: an entry that cancels keeps only its column's absolute accuracy.
+        assert np.max(np.linalg.norm(g - g_ref, axis=0) / np.linalg.norm(g_ref, axis=0)) <= rtol
 
 
 class TestInitialBall:
@@ -160,26 +181,6 @@ class TestSubgradient:
     def test_zero_point_rejected(self):
         with pytest.raises(ZeroGradient):
             subgradient(LevelSet(np.eye(2), 2.0), [0.0, 0.0])
-
-
-class TestCentralCut:
-    def test_hand_worked_unit_ball(self):
-        e = central_cut(Ellipsoid(np.zeros(2), np.eye(2)), [1.0, 0.0])
-        np.testing.assert_allclose(e.center, [-1.0 / 3.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(e.shape, (4.0 / 3.0) * np.diag([1.0 / 3.0, 1.0]), atol=1e-12)
-
-    def test_volume_strictly_decreases(self):
-        rng = np.random.default_rng(11)
-        for d in (2, 3, 6):
-            e = Ellipsoid(rng.normal(size=d), random_pd(rng, d))
-            cut = central_cut(e, rng.normal(size=d))
-            assert np.linalg.det(cut.shape) < np.linalg.det(e.shape)
-
-    def test_coordinate_swap_symmetry(self):
-        ex = central_cut(Ellipsoid(np.zeros(2), np.eye(2)), [1.0, 0.0])
-        ey = central_cut(Ellipsoid(np.zeros(2), np.eye(2)), [0.0, 1.0])
-        np.testing.assert_allclose(ey.center, ex.center[::-1], atol=1e-12)
-        np.testing.assert_allclose(ey.shape, ex.shape[::-1, ::-1], atol=1e-12)
 
 
 class TestShallowCut:

@@ -26,8 +26,12 @@ def sandwich_dirs(v, num_samples=1000, seed=424242):
 
 
 def one_product_numerators(a, p, dirs):
-    y = np.abs(a @ dirs.T)
-    return y.sum(axis=0) if p == 1 else (y**p).sum(axis=0) ** (1.0 / p)
+    prod = a @ dirs.T
+    y = np.abs(prod)
+    if p in (1, 2):
+        return y.sum(axis=0) if p == 1 else (y**p).sum(axis=0) ** (1.0 / p)
+    w = prod * prod * prod if p == 4 else np.sign(prod) * y ** (p - 1.0)
+    return np.einsum("ij,ij->j", w, prod) ** (1.0 / p)
 
 
 def one_product_sandwich(a, p, d_diag, v):
@@ -162,6 +166,48 @@ class TestRandomizedConditioner:
         for p in (1.0, 1.5, 2.0, 3.0):
             cond = randomized_conditioner(a, p, seed=3)
             assert np.isfinite(cond.distortion) and cond.distortion >= 1.0
+
+
+class TestExactConditionerAtP2:
+    """At p = 2 the conditioner is the input's own QR factor, shrunk by 1e-9."""
+
+    @staticmethod
+    def planted_2000x16():
+        return generate_synthetic(SyntheticSpec(n=2000, d=16, k_true=4, outlier_fraction=0.05, noise_sigma=0.01,
+                                                outlier_scale=20.0, seed=5))
+
+    def test_lower_inequality_holds_on_every_direction(self):
+        # max over x of ||Rx||^2 / ||Ax||^2 is lambda_max(L^-1 R^T R L^-T) with
+        # L L^T = A^T A.  The sketched conditioner reached 1.28 here (ratio 0.884).
+        a = self.planted_2000x16()
+        r = randomized_conditioner(a, 2.0, seed=0).R
+        chol = np.linalg.cholesky(a.T @ a)
+        m = np.linalg.solve(chol, np.linalg.solve(chol, r.T @ r).T)
+        assert np.linalg.eigvalsh(0.5 * (m + m.T)).max() <= 1.0
+
+    def test_d_is_the_shrunk_singular_values(self):
+        a = self.planted_2000x16()
+        fac = lp_svd_randomized(a, 2.0)
+        np.testing.assert_allclose(fac.D, np.linalg.svd(a, compute_uv=False) * (1.0 - 1e-9), rtol=1e-8, atol=0)
+
+    def test_distortion_is_one_and_nothing_is_sketched(self):
+        cond = randomized_conditioner(self.planted_2000x16(), 2.0)
+        assert cond.distortion == 1.0
+        assert cond.sketch_rows == 2000
+
+    def test_seed_does_not_change_r(self):
+        a = self.planted_2000x16()
+        assert randomized_conditioner(a, 2.0, seed=0).R.tobytes() == randomized_conditioner(a, 2.0, seed=7).R.tobytes()
+
+    def test_lower_inequality_at_condition_1e6(self):
+        rng = np.random.default_rng(7)
+        u = np.linalg.qr(rng.normal(size=(50, 6)))[0]
+        v = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        a = (u * np.logspace(0, -6, 6)) @ v.T
+        cond = randomized_conditioner(a, 2.0)
+        xs = np.random.default_rng(77).normal(size=(1000, 6))
+        ratios = LevelSet(a, 2.0).norms(xs) / np.linalg.norm(xs @ cond.R.T, axis=1)
+        assert ratios.min() >= 1.0
 
 
 class TestLpSvdRandomized:
