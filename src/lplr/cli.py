@@ -244,7 +244,7 @@ def _cmd_check(args) -> int:
         a = a.T
     cfg = LownerConfig(contraction=args.contraction)
     level = LevelSet(a, args.p)
-    res = lowner(a, args.p, cfg)
+    res = lowner(level, args.p, cfg)
     checks = []
 
     verts = contracted_vertices(res.ellipsoid, cfg.contraction_factor(level.dim))

@@ -68,8 +68,6 @@ DIRECTION_BLOCK = 256
 #: chunk and gives exactly the one-product result.
 _ROW_CHUNK = 2048
 
-#: Slack in ||Ax||_p <= 1 + tol for :func:`member`.
-MEMBERSHIP_TOL = 1e-9
 #: A contracted vertex with ||Ax||_p <= 1 + VERTEX_TOL counts as inside L.
 VERTEX_TOL = 1e-7
 _INNER_TOL = 1e-7  # relative KKT gap that ends the MVEE weight solve of a refinement round
@@ -284,12 +282,6 @@ class LownerResult:
         object.__setattr__(self, "D", frozen(np.asarray(self.D, dtype=float).reshape(-1)))
         object.__setattr__(self, "V", frozen(self.V))
         object.__setattr__(self, "logdet_trace", frozen(np.asarray(self.logdet_trace, dtype=float).reshape(-1)))
-
-
-def member(level: LevelSet, x) -> bool:
-    """Whether ||Ax||_p <= 1 + MEMBERSHIP_TOL."""
-    x = as_vector(x, level.dim, "x")
-    return vector_pnorm(level.a @ x, level.p) <= 1.0 + MEMBERSHIP_TOL
 
 
 def initial_ball(level: LevelSet) -> Ellipsoid:
@@ -705,6 +697,7 @@ def _extract_axes(shape: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
     """Loewner ellipsoid of {x : ||Ax||_p <= 1} as a (D, V) pair.
 
+    ``a`` may also be a :class:`LevelSet`, used as it is with its own p.
     Requires d >= 2 and A of full column rank.  At p = 2 the result is A's
     SVD in closed form (see the module docstring).  Otherwise raises
     NoConvergence when the iteration budgets are exhausted before the

@@ -6,8 +6,9 @@ ellipsoid {x : ||D V^T x||_2 <= 1} sandwiching the level set of A, so that
     ||D V^T x||_2 <= ||Ax||_p <= kappa ||D V^T x||_2     for all x,
 
 with kappa <= sqrt(d) for the deterministic (Loewner ellipsoid) path and a
-measured kappa for the sketched path (exactly 1 at p = 2, which needs no
-sketch).  U := A (D V^T)^-1 makes U D V^T = A exactly, so truncating D
+measured kappa for the randomized path.  That path sketches only at p < 2;
+at p >= 2 it conditions with A's own QR factor, and at p = 2 kappa is
+exactly 1.  U := A (D V^T)^-1 makes U D V^T = A exactly, so truncating D
 yields rank-k approximations with entry-wise p-norm error controlled by the
 sandwiched singular values.
 """
@@ -26,7 +27,6 @@ from .rng import philox
 
 _SAMPLE_STREAM = 101
 _DESCENT_STREAM = 707
-_SKETCH_ATTEMPTS = 4  # sketch streams 0..3, tried in turn until one has full rank
 _SANDWICH_SAMPLES = 1000  # Gaussian directions of sandwich_check, besides the 2d axes
 _SANDWICH_SEED = 424242
 _LOWER_MARGIN = 1e-9  # relative shrink of R that keeps ||Rx||_2 <= ||Ax||_p through rounding
@@ -38,8 +38,10 @@ class LpSvd:
 
     ``distortion`` is the upper ratio kappa: sqrt(d) (1 + slack) for the
     deterministic path.  For the randomized one it is the max/min ratio
-    ||Ax||_p / ||Rx||_2 over the conditioner's probes, and exactly 1 at p = 2,
-    where the conditioner is the input's own QR factor.
+    ||Ax||_p / ||Rx||_2 over the conditioner's probes, and exactly 1 at p = 2.
+    Its R is factored from a p-stable sketch of A at p < 2 and from A itself
+    at p >= 2, so at p > 2 V is A's right singular vectors and D is A's
+    singular values times one probed scale.
     ``iterations`` records the ellipsoid work that produced (D, V).
     """
 
@@ -59,16 +61,19 @@ class LpSvd:
 
 @dataclass(frozen=True)
 class ConditionerResult:
-    """Invertible R with ||Rx||_2 <= ||Ax||_p on all probed x (all x at p = 2), and U = A R^-1."""
+    """Invertible R with ||Rx||_2 <= ||Ax||_p on all probed x (all x at p = 2).
+
+    ``sketch_rows`` counts the rows R was factored from: the p-stable sketch's
+    min(n, 8 d^2) for p < 2, and n when R comes from A itself (p >= 2, or a
+    rank-deficient sketch).
+    """
 
     R: np.ndarray
-    U: np.ndarray
     distortion: float
     sketch_rows: int
 
     def __post_init__(self):
         object.__setattr__(self, "R", frozen(self.R))
-        object.__setattr__(self, "U", frozen(self.U))
 
 
 def _finish(a: np.ndarray, dvals: np.ndarray, v: np.ndarray, p: float, distortion: float, method: str, iterations: dict) -> LpSvd:
@@ -111,65 +116,57 @@ def _stable_samples(rng: np.random.Generator, p: float, size: int) -> np.ndarray
     )
 
 
-def _sketch(a: np.ndarray, p: float, rng: np.random.Generator, kind: str) -> np.ndarray:
+def _sketch(a: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sparse p-stable embedding S A of min(n, 8 d^2) rows, for p in [1, 2)."""
     n, d = a.shape
-    if kind == "identity":
-        return a.copy()
-    if p < 2.0:
-        m = min(n, 8 * d * d)
-        buckets = rng.integers(0, m, n)
-        scales = _stable_samples(rng, p, n)
-        sa = np.zeros((m, d))
-        np.add.at(sa, buckets, a * scales[:, None])
-        return sa
-    m = min(n, int(math.ceil(8 * d * d * math.log(n))))
-    rows = rng.integers(0, n, m)
-    return a[rows] * (n / m) ** (1.0 / p)
+    m = min(n, 8 * d * d)
+    buckets = rng.integers(0, m, n)
+    scales = _stable_samples(rng, p, n)
+    sa = np.zeros((m, d))
+    np.add.at(sa, buckets, a * scales[:, None])
+    return sa
 
 
-def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> ConditionerResult:
-    """Conditioner R with ||Rx||_2 <= ||Ax||_p (exact at p = 2, probed otherwise), and U = A R^-1.
+def randomized_conditioner(a, p: float, seed: int = 0) -> ConditionerResult:
+    """Conditioner R with ||Rx||_2 <= ||Ax||_p (exact at p = 2, probed otherwise).
 
     At p = 2 R is exact: ||Ax||_2 = ||R_A x||_2 for A = Q R_A, so R is the
     triangular factor of qr(A) shrunk by the relative margin 1e-9, the
-    distortion is 1, and neither ``seed`` nor ``sketch`` changes the result.
+    distortion is 1, and ``seed`` does not change the result.
 
-    Otherwise R is the triangular factor of qr(S A) for a sketch S: a sparse
-    p-stable embedding for p in [1, 2) and uniform row sampling for p > 2
-    (``sketch="identity"`` disables sketching, for tests).  After the QR, R is
-    rescaled by the smallest observed ratio ||Ax||_p / ||Rx||_2 (1000 fixed
-    Gaussian probes plus a multi-start descent to the minimizing direction),
-    restoring the one-sided guarantee on every probed x.  The reported
-    distortion is the max/min ratio over the fixed probes.  When every sketch
-    attempt comes out rank deficient, as on small square inputs, the
-    unsketched A is used.
+    For p in [1, 2) R starts as the triangular factor of qr(S A) for one sparse
+    p-stable embedding S of min(n, 8 d^2) rows, drawn from ``seed``.  When S A
+    comes out rank deficient, as bucket collisions make it on small square
+    inputs, A itself is used.  For p > 2 R starts as A's own factor R_A, and
+    ``seed`` picks only the probes and the ascent starts: a row sample S with
+    E[(S A)^T S A] a multiple of A^T A would only estimate R_A with noise.
+
+    Away from p = 2, R is then rescaled by the smallest observed ratio
+    ||Ax||_p / ||Rx||_2 (1000 fixed Gaussian probes plus a multi-start
+    ascent to the minimizing direction), restoring the one-sided guarantee on
+    every probed x.  The reported distortion is the max/min ratio over the
+    fixed probes.
     """
     a = as_matrix(a, "a")
     n, d = a.shape
     if n < d:
         raise ShapeMismatch(f"conditioner expects rows >= cols, got {n}x{d}")
     level = LevelSet(a, p)  # validates rank and p
-    if p == 2:
-        _, r = qr(a)
-        r_scaled = r * (1.0 - _LOWER_MARGIN)
-        u = np.linalg.solve(r_scaled.T, a.T).T  # U = A R^-1
-        return ConditionerResult(R=r_scaled, U=u, distortion=1.0, sketch_rows=n)
-
-    # Bucket collisions, or rows sampled twice, can leave every sketch of a
-    # small input rank deficient; A itself has the full rank LevelSet checked.
-    r = None
-    for attempt in range(_SKETCH_ATTEMPTS + 1):
-        kind = sketch if attempt < _SKETCH_ATTEMPTS else "identity"
-        sa = _sketch(a, p, philox(seed, stream=attempt), kind)
+    sa = _sketch(a, p, philox(seed, stream=0)) if p < 2 else a
+    try:
+        _, r = qr(sa)
+    except RankDeficient:
+        if sa is a:
+            raise
+        # Bucket collisions can leave the sketch of a small input rank
+        # deficient; A itself has the full rank LevelSet checked.
+        sa = a
         try:
-            _, r = qr(sa)
-            break
+            _, r = qr(a)
         except RankDeficient:
-            r = None
-    if r is None:
-        raise RankDeficient(
-            f"sketched matrix was rank deficient in all {_SKETCH_ATTEMPTS} sketch attempts, and so was the input"
-        )
+            raise RankDeficient("the p-stable sketch and the input itself were both rank deficient") from None
+    if p == 2:
+        return ConditionerResult(R=r * (1.0 - _LOWER_MARGIN), distortion=1.0, sketch_rows=n)
 
     probes = philox(seed, stream=_SAMPLE_STREAM).standard_normal((1000, d))
     num = level.norms(probes)
@@ -187,12 +184,11 @@ def randomized_conditioner(a, p: float, seed: int = 0, sketch: str = "auto") -> 
     rmin_certified = min(float(ratios.min()), 1.0 / math.sqrt(float(vals.max())))
     khat = float(ratios.max() / ratios.min())
     r_scaled = r * (rmin_certified * (1.0 - _LOWER_MARGIN))
-    u = np.linalg.solve(r_scaled.T, a.T).T  # U = A R^-1
-    return ConditionerResult(R=r_scaled, U=u, distortion=khat, sketch_rows=sa.shape[0])
+    return ConditionerResult(R=r_scaled, distortion=khat, sketch_rows=sa.shape[0])
 
 
 def lp_svd_randomized(a, p: float, seed: int = 0) -> LpSvd:
-    """Randomized ||.||_p-SVD: (D, V) from the SVD of the default-sketch conditioner R."""
+    """Randomized ||.||_p-SVD: (D, V) from the SVD of :func:`randomized_conditioner`'s R."""
     a = as_matrix(a, "a")
     cond = randomized_conditioner(a, p, seed=seed)
     _, dvals, v = svd(cond.R)

@@ -7,7 +7,7 @@ import pytest
 
 from lplr.cli import main
 from lplr.factor import low_rank
-from lplr.lowner import LownerConfig
+from lplr.lowner import LevelSet, LownerConfig
 from lplr.matio import load_matrix, store_matrix
 from lplr.report import evaluate, report_from_json, reports_equal_modulo_time
 from lplr.synth import SyntheticSpec, generate_synthetic
@@ -135,13 +135,23 @@ def test_sweep_of_tall_input_matches_across_workers(tmp_path):
 
 
 @pytest.mark.parametrize("p", ["1", "2"])
-def test_check_passes_on_healthy_input(tmp_path, capsys, p):
+def test_check_passes_on_healthy_input(tmp_path, capsys, monkeypatch, p):
     # At p = 2 no cut runs, so the det(F) check passes on an empty trace.
     path = tmp_path / "a.lplr"
     main(["synth", "--n", "50", "--d", "5", "--k-true", "2", "--noise", "0.2", "--seed", "2", "--out", str(path)])
+    built = []
+    validate = LevelSet.__post_init__
+
+    def counting(level):
+        built.append(level)
+        validate(level)
+
+    monkeypatch.setattr(LevelSet, "__post_init__", counting)
     assert main(["check", "--input", str(path), "--p", p]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3 and "FAIL" not in out
+    # check hands its level set to lowner, so the rank SVD runs once
+    assert len(built) == 1
 
 
 def test_cli_determinism_modulo_wall_time(tmp_path, synth_file):

@@ -24,7 +24,6 @@ from lplr.lowner import (
     contracted_vertices,
     initial_ball,
     lowner,
-    member,
     shallow_cut,
     subgradient,
 )
@@ -41,23 +40,11 @@ def random_pd(rng, d, spread=1.0):
     return g @ g.T + spread * np.eye(d)
 
 
-class TestMember:
-    def test_inside_l1(self):
-        assert member(LevelSet(np.eye(2), 1.0), [0.5, 0.4])
-
-    def test_outside_l1(self):
-        assert not member(LevelSet(np.eye(2), 1.0), [0.8, 0.4])
-
-    def test_boundary_within_tolerance(self):
-        assert member(LevelSet(np.eye(2), 2.0), [1.0, 0.0])
-
-
 def test_level_set_is_centrally_symmetric():
     rng = np.random.default_rng(12)
     level = LevelSet(rng.normal(size=(20, 3)), 1.5)
-    for _ in range(50):
-        x = rng.normal(size=3)
-        assert member(level, x) == member(level, -x)
+    x = rng.normal(size=(50, 3))
+    np.testing.assert_array_equal(level.norms(x), level.norms(-x))
 
 
 def one_product_norms(a, p, pts):

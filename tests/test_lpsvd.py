@@ -6,8 +6,10 @@ import pytest
 
 from lplr import SyntheticSpec, generate_synthetic, lpsvd
 from lplr.errors import RankDeficient, ShapeMismatch
+from lplr.factor import assemble, l2_low_rank, lp_low_rank, truncate_factorization
 from lplr.lowner import DIRECTION_BLOCK, LevelSet, LownerConfig
 from lplr.lpsvd import lp_svd, lp_svd_randomized, randomized_conditioner, sandwich_check
+from lplr.matcore import entrywise_pnorm_pow, qr
 from lplr.rng import philox
 
 from oracles import mvee_axis_reciprocals
@@ -100,7 +102,7 @@ class TestLpSvd:
 class TestRandomizedConditioner:
     def test_identity_sketch_on_orthogonal_columns(self):
         q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(30, 4)))
-        cond = randomized_conditioner(q, 2.0, seed=1, sketch="identity")
+        cond = randomized_conditioner(q, 2.0, seed=1)
         assert cond.distortion == pytest.approx(1.0, abs=1e-9)
         # R is orthogonal up to the one-sided rescaling
         rtr = cond.R @ cond.R.T
@@ -139,20 +141,22 @@ class TestRandomizedConditioner:
             raise RankDeficient("forced")
 
         monkeypatch.setattr(lpsvd, "qr", deficient)
-        with pytest.raises(RankDeficient, match="in all 4 sketch attempts"):
-            randomized_conditioner(np.random.default_rng(15).normal(size=(50, 4)), 1.0)
-        # four sketches, then the unsketched input
-        assert len(calls) == 5 and calls[-1] == (50, 4)
+        a = np.random.default_rng(15).normal(size=(50, 4))
+        with pytest.raises(RankDeficient, match="sketch and the input itself were both rank deficient"):
+            randomized_conditioner(a, 1.0)
+        # one sketch, then the unsketched input
+        assert len(calls) == 2 and calls[-1] == (50, 4)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
     def test_square_input_falls_back_to_unsketched(self, p):
-        # At n = d every sketch of this input has repeated rows or colliding
-        # buckets, so all four come out rank deficient.
+        # At n = d the p < 2 sketch of this input has colliding buckets and
+        # comes out rank deficient; p > 2 never sketches.
         a = philox(3).standard_normal((6, 6))
         cond = randomized_conditioner(a, p)
-        ref = randomized_conditioner(a, p, sketch="identity")
         assert cond.sketch_rows == 6
-        assert cond.R.tobytes() == ref.R.tobytes() and cond.distortion == ref.distortion
+        scales = cond.R[np.triu_indices(6)] / qr(a)[1][np.triu_indices(6)]
+        assert scales.min() > 0
+        np.testing.assert_allclose(scales, scales[0], rtol=1e-12)
         fac = lp_svd_randomized(a, p)
         lo, _ = sandwich_check(a, p, fac.D, fac.V)
         assert lo >= 1.0 - 1e-9
@@ -208,6 +212,45 @@ class TestExactConditionerAtP2:
         xs = np.random.default_rng(77).normal(size=(1000, 6))
         ratios = LevelSet(a, 2.0).norms(xs) / np.linalg.norm(xs @ cond.R.T, axis=1)
         assert ratios.min() >= 1.0
+
+
+class TestInputFactorAboveP2:
+    """At p > 2 the conditioner is the input's own QR factor times one probed scale."""
+
+    @pytest.fixture(scope="class", params=[(2000, 16, 5, 3.0), (2000, 16, 5, 4.0), (20000, 32, 1000, 3.0),
+                                           (20000, 32, 1000, 4.0)], ids=lambda c: f"{c[0]}x{c[1]}-p{c[3]:g}")
+    def case(self, request):
+        n, d, seed, p = request.param
+        a = generate_synthetic(SyntheticSpec(n=n, d=d, k_true=d // 4, outlier_fraction=0.05, noise_sigma=0.01,
+                                             outlier_scale=20.0, seed=seed))
+        return a, p, randomized_conditioner(a, p), lp_svd_randomized(a, p)
+
+    def test_r_is_a_multiple_of_the_inputs_factor(self, case):
+        # A uniform sample of min(n, 8 d^2 ln n) rows, drawn with replacement,
+        # would take all n rows of both inputs and only reweight them.
+        a, _, cond, _ = case
+        n, d = a.shape
+        upper = np.triu_indices(d)
+        scales = cond.R[upper] / qr(a)[1][upper]
+        np.testing.assert_allclose(scales, scales[0], rtol=1e-12, atol=0)
+        assert scales[0] > 0 and cond.sketch_rows == n
+
+    def test_v_is_the_inputs_right_singular_vectors(self, case):
+        a, _, _, fac = case
+        vt = np.linalg.svd(a, full_matrices=False)[2]
+        np.testing.assert_allclose(np.abs(fac.V.T @ vt.T), np.eye(a.shape[1]), rtol=0, atol=1e-8)
+
+    def test_rank_k_error_equals_the_svds(self, case):
+        a, p, _, fac = case
+        k_true = a.shape[1] // 4
+        # lp_low_rank factorizes once per call, so every k truncates the one
+        # factorization, and lp_low_rank itself is checked to be that truncation.
+        direct = lp_low_rank(a, k_true, p, method="randomized")
+        assert assemble(direct).tobytes() == assemble(truncate_factorization(fac, k_true)).tobytes()
+        for k in range(1, a.shape[1]):
+            err = entrywise_pnorm_pow(a - assemble(truncate_factorization(fac, k)), p)
+            ref = entrywise_pnorm_pow(a - assemble(l2_low_rank(a, k)), p)
+            assert err == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 class TestLpSvdRandomized:
