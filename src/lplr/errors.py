@@ -33,10 +33,6 @@ class NotPositiveDefinite(LplrError):
     """A matrix required to be positive definite is not."""
 
 
-class SingularMatrix(LplrError):
-    """Matrix is singular or too ill-conditioned to invert reliably."""
-
-
 class RankDeficient(LplrError):
     """Matrix does not have full column rank where full rank is required."""
 

@@ -38,14 +38,15 @@ applies, and ``logdet_trace`` is empty because no cut was made.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import (
     DimensionTooSmall,
     InvalidConfig,
+    InvalidP,
     NoConvergence,
     NotPositiveDefinite,
     RankDeficient,
@@ -74,6 +75,8 @@ _INNER_TOL = 1e-7  # relative KKT gap that ends the MVEE weight solve of a refin
 _VERIFY_SAMPLES = 4096  # random directions that seed the certification ascent
 _PROBE_SEED = 24251  # Philox key of the random oracle starts and of certification
 _CERT_MARGIN = 1e-9  # relative growth of F past the largest certified quadratic form
+_REFINE_TOL = 5e-3  # refinement stops once no boundary point's quadratic form exceeds d (1 + _REFINE_TOL)
+_ORACLE_ITERS = 60  # ascent iterations per refinement oracle start (twice that in certification)
 
 
 def _norm_pass(a: np.ndarray, p: float, points: np.ndarray, grad: bool = False, work: np.ndarray | None = None):
@@ -208,46 +211,27 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class LownerConfig:
-    """Tunable knobs for :func:`lowner`.
+    """The one setting of :func:`lowner`: the vertex contraction.
 
     contraction: "inv-d" tests the vertices of (1/d)(E - c) + c, the factor
         the shallow-cut loop is stated with; "inv-sqrt-d" is the sharper
-        factor available for centrally symmetric bodies.
-    phase1_cuts: cut budget of the cut stage; by default min(8 d^2, a flop
-        allowance that shrinks with n), and never more than 200 d^2.
-    refine_tol: refinement stops once no boundary point has a quadratic form
-        above d (1 + refine_tol).
-    max_outer: column-generation rounds, default 50 + 5 d.
-    oracle_iters: ascent iterations per oracle start (twice that in the
-        certification polish).
-    slack: relative margin of the reported distortion sqrt(d) (1 + slack).
+        factor available for centrally symmetric bodies.  Any other value
+        raises :class:`InvalidConfig`.
 
-    A contraction outside the two names, an ``oracle_iters`` or ``max_outer``
-    below 1, a ``phase1_cuts`` below 0, or a ``refine_tol`` or ``slack`` that
-    is negative or not finite raises :class:`InvalidConfig` naming the field.
+    The solver's budgets are fixed by d and n and are not settable: the cut
+    stage makes at most min(8 d^2, max(32, 2e8 / (4 n d^2))) cuts, and
+    refinement runs at most 50 + 5 d column-generation rounds with
+    ``_ORACLE_ITERS`` ascent iterations per start, stopping at relative
+    tolerance ``_REFINE_TOL``.  ``slack`` is the fixed relative margin of the
+    reported distortion sqrt(d) (1 + slack).
     """
 
     contraction: str = "inv-d"
-    phase1_cuts: int | None = None
-    refine_tol: float = 5e-3
-    max_outer: int | None = None
-    oracle_iters: int = 60
-    slack: float = 0.1
+    slack: ClassVar[float] = 0.1
 
     def __post_init__(self):
         if self.contraction not in ("inv-d", "inv-sqrt-d"):
             raise InvalidConfig(f"contraction must be 'inv-d' or 'inv-sqrt-d', got {self.contraction!r}")
-        # Written as not (bounds hold) so that NaN fails too; None keeps a count's default.
-        for name, least in (("phase1_cuts", 0), ("max_outer", 1), ("oracle_iters", 1)):
-            value = getattr(self, name)
-            if value is None and name != "oracle_iters":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value >= least:
-                raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
-        for name in ("refine_tol", "slack"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-                raise InvalidConfig(f"{name} must be a finite number >= 0, got {value!r}")
 
     def contraction_factor(self, d: int) -> float:
         return 1.0 / d if self.contraction == "inv-d" else 1.0 / math.sqrt(d)
@@ -385,13 +369,10 @@ def _cut_phase(level: LevelSet, cfg: LownerConfig):
     """
     n, d = level.a.shape
     gamma = cfg.contraction_factor(d)
-    if cfg.phase1_cuts is not None:
-        budget = min(200 * d * d, cfg.phase1_cuts)
-    else:
-        # Each cut costs O(n d^2) for the vertex test; a fixed shallow cut only
-        # shrinks ln det(F) by ~1/(2 d^3), so on large instances the flop
-        # allowance hands over to the refinement stage early.
-        budget = min(8 * d * d, max(32, int(2e8 / (4.0 * n * d * d))))
+    # Each cut costs O(n d^2) for the vertex test; a fixed shallow cut only
+    # shrinks ln det(F) by ~1/(2 d^3), so on large instances the flop
+    # allowance hands over to the refinement stage early.
+    budget = min(8 * d * d, max(32, int(2e8 / (4.0 * n * d * d))))
     f = initial_ball(level).shape
     dets = [float(np.linalg.slogdet(f)[1])]
     contacts: list[np.ndarray] = []
@@ -593,7 +574,7 @@ def _ascend(level: LevelSet, minv: np.ndarray, starts: np.ndarray, iters: int):
     return best_val, best_u / best_z[:, None]
 
 
-def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarray], cfg: LownerConfig):
+def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarray]):
     """Column-generation stage; returns (M_inverse, fw_steps)."""
     d = level.dim
     eigvals, eigvecs = np.linalg.eigh(seed_ellipsoid.shape)
@@ -604,14 +585,14 @@ def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarra
     w = np.full(pts.shape[0], 1.0 / pts.shape[0])
 
     max_refine = 200 * d * d + 4000  # total Frank-Wolfe steps
-    max_outer = cfg.max_outer if cfg.max_outer is not None else 50 + 5 * d
+    max_outer = 50 + 5 * d
     n_starts = min(256, max(64, 4 * d))
     fw_steps = 0
     minv = None
     kappa = np.inf
     n = level.a.shape[0]
-    # Ascent cost is oracle_iters * starts * O(n d); cap the batch on big inputs.
-    start_cap = max(d + 8, min(4 * n_starts, int(3e9 / (cfg.oracle_iters * 4.0 * n * d))))
+    # Ascent cost is _ORACLE_ITERS * starts * O(n d); cap the batch on big inputs.
+    start_cap = max(d + 8, min(4 * n_starts, int(3e9 / (_ORACLE_ITERS * 4.0 * n * d))))
     for outer in range(max_outer):
         w, minv, lev, steps = _mvee_weights(pts, w, _INNER_TOL, max_refine - fw_steps)
         fw_steps += steps
@@ -630,9 +611,9 @@ def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarra
         starts = np.concatenate(
             [warm[:c_warm], np.linalg.eigh(minv)[1].T[::-1][:c_eig], rand[:c_rand]], axis=0
         )
-        vals, cand = _ascend(level, minv, starts, cfg.oracle_iters)
+        vals, cand = _ascend(level, minv, starts, _ORACLE_ITERS)
         kappa = float(np.max(vals))
-        if kappa <= d * (1.0 + cfg.refine_tol) or fw_steps >= max_refine:
+        if kappa <= d * (1.0 + _REFINE_TOL) or fw_steps >= max_refine:
             break
         # Harvest every distinct ascended maximum above the threshold: the
         # sliding warm starts make old contact points go slack (weight zero)
@@ -641,7 +622,7 @@ def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarra
         fresh: list[np.ndarray] = []
         base_norms = np.linalg.norm(pts, axis=1)
         for idx in order[: 4 * d]:
-            if vals[idx] <= d * (1.0 + 0.25 * cfg.refine_tol):
+            if vals[idx] <= d * (1.0 + 0.25 * _REFINE_TOL):
                 break
             x = cand[idx]
             xn = np.linalg.norm(x)
@@ -661,20 +642,20 @@ def _refine(level: LevelSet, seed_ellipsoid: Ellipsoid, contacts: list[np.ndarra
         raise NoConvergence(
             f"refinement exceeded {max_outer} column-generation rounds (kappa/d = {kappa / d:.6f})"
         )
-    if fw_steps >= max_refine and kappa > d * (1.0 + cfg.refine_tol):
+    if fw_steps >= max_refine and kappa > d * (1.0 + _REFINE_TOL):
         raise NoConvergence(f"refinement exceeded {max_refine} Frank-Wolfe steps")
     return minv, fw_steps
 
 
-def _certified_shape(level: LevelSet, minv: np.ndarray, cfg: LownerConfig) -> np.ndarray:
+def _certified_shape(level: LevelSet, minv: np.ndarray) -> np.ndarray:
     """Scale M so E = {x : x^T F^-1 x <= 1} covers every verified boundary point."""
     n, d = level.a.shape
     rng = philox(_PROBE_SEED, stream=0)
     dirs = rng.standard_normal((_VERIFY_SAMPLES, d))
     vals_s, pts_s = _ascend(level, minv, dirs, 4)  # a few polish steps per sample
-    top = max(d + 8, int(3e9 / (2.0 * cfg.oracle_iters * 4.0 * n * d)))
+    top = max(d + 8, int(3e9 / (2.0 * _ORACLE_ITERS * 4.0 * n * d)))
     starts = np.concatenate([np.linalg.eigh(minv)[1].T, pts_s[np.argsort(vals_s)[-min(4 * d, top) :]]], axis=0)
-    vals_a, _ = _ascend(level, minv, starts, 2 * cfg.oracle_iters)
+    vals_a, _ = _ascend(level, minv, starts, 2 * _ORACLE_ITERS)
     qmax = float(max(vals_s.max(), vals_a.max()))
     scale = qmax * (1.0 + _CERT_MARGIN)
     return np.linalg.inv(minv) * scale
@@ -697,14 +678,21 @@ def _extract_axes(shape: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
     """Loewner ellipsoid of {x : ||Ax||_p <= 1} as a (D, V) pair.
 
-    ``a`` may also be a :class:`LevelSet`, used as it is with its own p.
-    Requires d >= 2 and A of full column rank.  At p = 2 the result is A's
-    SVD in closed form (see the module docstring).  Otherwise raises
-    NoConvergence when the iteration budgets are exhausted before the
-    contracted-vertex test and the refinement tolerance are met; the
-    exception carries the best iterate.
+    ``a`` may also be a :class:`LevelSet`, used as it is; ``p`` must then
+    equal its p, or :class:`InvalidP` names both.  ``cfg`` sets only the
+    vertex contraction; the solver's budgets are fixed (see
+    :class:`LownerConfig`).  Requires d >= 2 and A of full column rank.  At
+    p = 2 the result is A's SVD in closed form (see the module docstring).
+    Otherwise raises NoConvergence when the fixed budgets are exhausted
+    before the contracted-vertex test and the refinement tolerance are met;
+    the exception carries the best iterate.
     """
-    level = a if isinstance(a, LevelSet) else LevelSet(as_matrix(a, "a"), p)
+    if isinstance(a, LevelSet):
+        if p != a.p:
+            raise InvalidP(f"p = {p!r} differs from the level set's p = {a.p!r}")
+        level = a
+    else:
+        level = LevelSet(as_matrix(a, "a"), p)
     if level.dim < 2:
         raise DimensionTooSmall("lowner requires dimension >= 2")
     cfg = cfg or LownerConfig()
@@ -720,7 +708,7 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
     else:
         e_cut, central, shallow, dets, contacts = _cut_phase(level, cfg)
         try:
-            minv, fw_steps = _refine(level, e_cut, contacts, cfg)
+            minv, fw_steps = _refine(level, e_cut, contacts)
         except NoConvergence as exc:
             if exc.best is None:
                 dvals, v = _extract_axes(e_cut.shape)
@@ -734,14 +722,14 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
                     logdet_trace=np.asarray(dets),
                 )
             raise
-        shape = _certified_shape(level, minv, cfg)
+        shape = _certified_shape(level, minv)
         if np.linalg.slogdet(shape)[1] > dets[-1]:
             shape = e_cut.shape  # refinement never improved on the rigorous cut iterate
         final = Ellipsoid(np.zeros(level.dim), shape)
         dvals, v = _extract_axes(final.shape)
 
     gamma = cfg.contraction_factor(level.dim)
-    tol = VERTEX_TOL if cfg.contraction == "inv-d" else VERTEX_TOL + 10.0 * cfg.refine_tol
+    tol = VERTEX_TOL if cfg.contraction == "inv-d" else VERTEX_TOL + 10.0 * _REFINE_TOL
     verts = contracted_vertices(final, gamma)
     result = LownerResult(
         D=dvals,

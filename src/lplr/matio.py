@@ -24,22 +24,11 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
 
 
-def _resolve_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("lplr", "csv"):
-            raise ParseError(f"unknown format {fmt!r}")
-        return fmt
-    suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return "csv"
-    return "lplr"
-
-
-def store_matrix(path, a, fmt: str | None = None) -> None:
-    """Write a matrix to ``path`` in the binary or CSV format."""
+def store_matrix(path, a) -> None:
+    """Write a matrix to ``path``: CSV if its suffix is ".csv", else the binary format."""
     path = Path(path)
     m = as_matrix(a, "a")
-    if _resolve_format(path, fmt) == "csv":
+    if path.suffix.lower() == ".csv":
         lines = "\n".join(",".join(f"{v:.17g}" for v in row) for row in m)
         path.write_text(lines + "\n")
         return
@@ -48,10 +37,10 @@ def store_matrix(path, a, fmt: str | None = None) -> None:
     path.write_bytes(_HEADER.pack(MAGIC, VERSION, rows, cols) + payload)
 
 
-def load_matrix(path, fmt: str | None = None) -> np.ndarray:
-    """Read a matrix written by :func:`store_matrix`."""
+def load_matrix(path) -> np.ndarray:
+    """Read a matrix written by :func:`store_matrix`; the suffix picks the format as there."""
     path = Path(path)
-    if _resolve_format(path, fmt) == "csv":
+    if path.suffix.lower() == ".csv":
         return _load_csv(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:

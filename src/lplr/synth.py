@@ -8,6 +8,7 @@ fitting chases the scaled rows while absolute-error fitting does not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,11 @@ class SyntheticSpec:
             raise ShapeMismatch(f"k_true must be in [1, d), got {self.k_true}")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ShapeMismatch("outlier_fraction must be in [0, 1)")
-        if self.noise_sigma < 0.0 or self.outlier_scale < 1.0:
-            raise ShapeMismatch("noise_sigma must be >= 0 and outlier_scale >= 1")
+        # Written as not (bounds hold) so that NaN fails too.
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ShapeMismatch(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if not 1.0 <= self.outlier_scale < math.inf:
+            raise ShapeMismatch(f"outlier_scale must be finite and >= 1, got {self.outlier_scale!r}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> np.ndarray:

@@ -147,11 +147,7 @@ def reference_cut_loop(level, cfg):
     """
     n, d = level.a.shape
     gamma = cfg.contraction_factor(d)
-    budget_total = 200 * d * d
-    if cfg.phase1_cuts is not None:
-        budget = min(budget_total, cfg.phase1_cuts)
-    else:
-        budget = min(budget_total, 8 * d * d, max(32, int(2e8 / (4.0 * n * d * d))))
+    budget = min(200 * d * d, 8 * d * d, max(32, int(2e8 / (4.0 * n * d * d))))
     e = initial_ball(level)
     dets = [float(np.linalg.slogdet(e.shape)[1])]
     contacts = []

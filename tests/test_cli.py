@@ -64,6 +64,17 @@ def test_unknown_flag_is_usage_error(synth_file):
     assert main(["factorize", "--input", str(synth_file), "--bogus", "1"]) == 1
 
 
+@pytest.mark.parametrize("flag,field", [("--noise", "noise_sigma"), ("--outlier-scale", "outlier_scale")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_spec_fails_without_writing(tmp_path, capsys, flag, field, value):
+    # A NaN noise would otherwise add no noise and exit 0.
+    path = tmp_path / "a.lplr"
+    code = main(["synth", "--n", "40", "--d", "6", "--k-true", "2", flag, value, "--out", str(path)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path):
     path = tmp_path / "flat.lplr"
     main(["synth", "--n", "40", "--d", "6", "--k-true", "2", "--noise", "0", "--seed", "1", "--out", str(path)])

@@ -7,6 +7,7 @@ from lplr import SyntheticSpec, generate_synthetic
 from lplr.errors import (
     DimensionTooSmall,
     InvalidConfig,
+    InvalidP,
     LplrError,
     NoConvergence,
     NotPositiveDefinite,
@@ -255,8 +256,9 @@ class TestCutPhase:
         # the slogdet of the same cut rejects a negative or non-finite determinant
         (3, "one negative eigenvalue", "determinant is not positive"),
         (3, "nan", "determinant is not positive"),
-        # on the budget's last cut, the returned Ellipsoid's Cholesky rejects it
-        (6, "negated", "non-positive pivot"),
+        # on the last cut of the default budget (8 d^2 = 512 here, which this
+        # planted input uses up), the returned Ellipsoid's Cholesky rejects it
+        (512, "negated", "non-positive pivot"),
     ])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in slogdet:RuntimeWarning")
     def test_lost_definiteness_raises_typed_error(self, monkeypatch, cut, corruption, check):
@@ -279,7 +281,7 @@ class TestCutPhase:
 
         monkeypatch.setattr(lowner_module, "_shallow_update", corrupted)
         with pytest.raises(NotPositiveDefinite, match=check):
-            lowner(planted(200, 8, 3), 1.0, LownerConfig(phase1_cuts=6))
+            lowner(planted(200, 8, 3), 1.0)
         assert len(calls) == cut
 
 
@@ -322,11 +324,9 @@ class TestAscend:
 
 
 class TestLownerConfig:
-    # One bad value per field, then the NaN, infinite and non-integer forms.
-    # The first six would otherwise fail late or not at all: oracle_iters=0
-    # divided by zero, a bogus contraction raised ValueError, slack=-2 became
-    # the reported distortion, refine_tol=-1 ran every round and then raised
-    # NoConvergence, and phase1_cuts=-5 ran as 0.
+    # A bogus contraction would otherwise fail late, as a ValueError.  The
+    # solver budgets are module constants, not fields: passing one, at any
+    # value, is a TypeError that names it.
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -340,18 +340,19 @@ class TestLownerConfig:
             ("slack", float("inf")),
             ("oracle_iters", 2.5),
             ("max_outer", True),
+            ("refine_tol", 1e-3),
         ],
     )
     def test_rejects_field_out_of_range(self, field, value):
-        with pytest.raises(InvalidConfig, match=field):
+        with pytest.raises(InvalidConfig if field == "contraction" else TypeError, match=field):
             LownerConfig(**{field: value})
 
     def test_accepts_bounds_and_defaults(self):
-        cfg = LownerConfig(contraction="inv-sqrt-d", phase1_cuts=0, refine_tol=0.0, max_outer=1,
-                           oracle_iters=np.int64(1), slack=0.0)
+        cfg = LownerConfig(contraction="inv-sqrt-d")
         assert cfg.contraction_factor(4) == 0.5
         assert issubclass(InvalidConfig, LplrError)
         assert LownerConfig().contraction_factor(4) == 0.25
+        assert LownerConfig().slack == 0.1
 
 
 class TestLowner:
@@ -463,16 +464,32 @@ class TestLowner:
         with pytest.raises(RankDeficient):
             lowner(np.outer(np.arange(1.0, 5.0), [1.0, 2.0]), 2.0)
 
+    def test_level_set_p_must_match_argument(self):
+        # A LevelSet carries its own p: lowner(LevelSet(a, 1), 4) must not
+        # quietly solve p = 1.
+        a = np.random.default_rng(32).normal(size=(40, 4))
+        with pytest.raises(InvalidP, match=r"4\.0.*1\.0"):
+            lowner(LevelSet(a, 1.0), 4.0)
+        assert lowner(LevelSet(a, 4.0), 4.0).D.tobytes() == lowner(a, 4.0).D.tobytes()
+
     def test_dimension_one_rejected(self):
         with pytest.raises(DimensionTooSmall):
             lowner(np.arange(1.0, 6.0)[:, None], 2.0)
 
-    def test_no_convergence_carries_best_iterate(self):
+    def test_no_convergence_carries_best_iterate(self, monkeypatch):
+        # An oracle that inflates every value finds a protruding point in every
+        # round, so refinement runs out of column-generation rounds.
+        real = lowner_module._ascend
+
+        def inflated(*args):
+            vals, pts = real(*args)
+            return vals * 1e6, pts
+
+        monkeypatch.setattr(lowner_module, "_ascend", inflated)
         rng = np.random.default_rng(30)
         a = rng.normal(size=(40, 4))
-        cfg = LownerConfig(refine_tol=1e-13, max_outer=1, oracle_iters=5)
         with pytest.raises(NoConvergence) as err:
-            lowner(a, 1.0, cfg)
+            lowner(a, 1.0)
         assert isinstance(err.value.best, LownerResult)
 
     def test_sharper_contraction_option(self):
@@ -482,4 +499,4 @@ class TestLowner:
         res = lowner(a, 1.0, cfg)
         level = LevelSet(a, 1.0)
         verts = contracted_vertices(res.ellipsoid, 0.5)
-        assert np.max(level.norms(verts)) <= 1.0 + VERTEX_TOL + 10 * cfg.refine_tol
+        assert np.max(level.norms(verts)) <= 1.0 + VERTEX_TOL + 10 * lowner_module._REFINE_TOL

@@ -44,3 +44,11 @@ def test_different_seeds_differ():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ShapeMismatch):
         SyntheticSpec(**kwargs)
+
+
+# nan > 0 is false, so a NaN noise_sigma would otherwise add no noise at all.
+@pytest.mark.parametrize("field", ["noise_sigma", "outlier_scale"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_spec_names_field(field, value):
+    with pytest.raises(ShapeMismatch, match=field):
+        SyntheticSpec(n=10, d=4, k_true=2, **{field: value})
