@@ -4,7 +4,7 @@ Public surface:
 
 - :mod:`lplr.matcore` dense linear-algebra substrate
 - :mod:`lplr.lowner` Loewner ellipsoid of the level set {x : ||Ax||_p <= 1}
-- :mod:`lplr.lpsvd`  ||.||_p-SVD factorizations (deterministic and sketched)
+- :mod:`lplr.lpsvd`  ||.||_p-SVD factorizations (deterministic and randomized)
 - :mod:`lplr.factor` rank-k approximation, error bounds, factor export
 - :mod:`lplr.synth`, :mod:`lplr.matio`, :mod:`lplr.report`, :mod:`lplr.cli`
   synthetic data, matrix file formats, evaluation reports, command line

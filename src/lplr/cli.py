@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import InvalidP, LplrError
+from .errors import InvalidConfig, InvalidP, LplrError
 from .factor import Method, factorize, l2_svd, orient, truncate_factorization
 from .lowner import LevelSet, LownerConfig, contracted_vertices, lowner
 from .lpsvd import sandwich_check
@@ -190,8 +190,11 @@ def _cmd_sweep(args) -> int:
         ks = sorted({int(s) for s in args.ks.split(",") if s})
         ps = {float(s) for s in args.ps.split(",") if s}
         methods = {Method(s.strip()) for s in args.methods.split(",") if s}
-    except ValueError as exc:
+    except (ValueError, InvalidConfig) as exc:
         raise _UsageError(str(exc)) from None
+    for flag, values in (("--ks", ks), ("--ps", ps), ("--methods", methods)):
+        if not values:
+            raise _UsageError(f"{flag} must list at least one value")
     for p in ps:
         _check_p(p, "every --ps value")
     if args.workers < 1:

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidRank
+from .errors import InvalidConfig, InvalidRank
 from .lowner import LownerConfig
 from .lpsvd import LpSvd, lp_svd, lp_svd_randomized
 from .matcore import as_matrix, frozen, svd
@@ -38,6 +38,11 @@ class Method(str, Enum):
     LOWNER = "lowner"
     RANDOMIZED = "randomized"
     SVD = "svd"
+
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(m.value for m in cls)
+        raise InvalidConfig(f"method must be one of {names}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +140,7 @@ def l2_svd(a) -> LpSvd:
 
 
 def factorize(oriented: np.ndarray, p: float, method: Method | str, seed: int = 0, cfg: LownerConfig | None = None) -> LpSvd:
-    """The factorization of a tall matrix by ``method``; ``seed`` only affects the sketched path."""
+    """The factorization of a tall matrix by ``method``; ``seed`` only affects randomized at p > 2."""
     method = Method(method)
     if method is Method.SVD:
         return l2_svd(oriented)
@@ -147,8 +152,9 @@ def factorize(oriented: np.ndarray, p: float, method: Method | str, seed: int = 
 def low_rank(a, k: int, p: float, method: Method | str, seed: int = 0, cfg: LownerConfig | None = None) -> RankKApprox:
     """Rank-k approximation of A by the lp paths or the SVD baseline (oriented internally if wide).
 
-    ``method`` picks the deterministic Loewner path, the sketched one or the
-    SVD; ``seed`` only affects the sketched path and ``cfg`` only the Loewner one.
+    ``method`` picks the deterministic Loewner path, the randomized one or the
+    SVD; ``seed`` only affects the randomized path at p > 2 and ``cfg`` only
+    the Loewner one.
     """
     oriented, transposed = orient(a)
     _check_rank(k, oriented.shape[1])

@@ -446,9 +446,6 @@ def _fw_sweep(points: np.ndarray, w: np.ndarray, tol: float, budget: int):
         w[j] += lam
         np.maximum(w, 0.0, out=w)
         steps += 1
-        if steps % 512 == 0:
-            w /= w.sum()
-            minv, lev = _scatter_inverse(points, w)
     w /= w.sum()
     minv, lev = _scatter_inverse(points, w)
     return w, minv, lev, steps

@@ -5,12 +5,13 @@ ellipsoid {x : ||D V^T x||_2 <= 1} sandwiching the level set of A, so that
 
     ||D V^T x||_2 <= ||Ax||_p <= kappa ||D V^T x||_2     for all x,
 
-with kappa <= sqrt(d) for the deterministic (Loewner ellipsoid) path and a
-measured kappa for the randomized path.  That path sketches only at p < 2;
-at p >= 2 it conditions with A's own QR factor, and at p = 2 kappa is
-exactly 1.  U := A (D V^T)^-1 makes U D V^T = A exactly, so truncating D
-yields rank-k approximations with entry-wise p-norm error controlled by the
-sandwiched singular values.
+with kappa <= sqrt(d) for the deterministic (Loewner ellipsoid) path.  The
+randomized path conditions with A's Lewis weights at p <= 2, where kappa is
+proved (d^(1/p - 1/2) at their fixed point, 1 at p = 2), and with A's own QR
+factor and a probed scale at p > 2, where kappa is measured.
+U := A (D V^T)^-1 makes U D V^T = A exactly, so truncating D yields rank-k
+approximations with entry-wise p-norm error controlled by the sandwiched
+singular values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooSmall, RankDeficient, ShapeMismatch, SvdFailure
+from .errors import DimensionTooSmall, ShapeMismatch, SvdFailure
 from .lowner import LevelSet, LownerConfig, _ascend, lowner, pnorms
 from .matcore import as_matrix, frozen, qr, svd
 from .rng import philox
@@ -29,6 +30,8 @@ _SAMPLE_STREAM = 101
 _DESCENT_STREAM = 707
 _SANDWICH_SAMPLES = 1000  # Gaussian directions of sandwich_check, besides the 2d axes
 _SANDWICH_SEED = 424242
+_LEWIS_TOL = 1e-3  # largest relative change of the row scales s that ends the Lewis fixed point
+_LEWIS_ITERS = 50  # cap on the fixed point's QR factorizations
 _LOWER_MARGIN = 1e-9  # relative shrink of R that keeps ||Rx||_2 <= ||Ax||_p through rounding
 
 
@@ -37,11 +40,10 @@ class LpSvd:
     """A = U D V^T with the sandwich property at exponent p.
 
     ``distortion`` is the upper ratio kappa: sqrt(d) (1 + slack) for the
-    deterministic path.  For the randomized one it is the max/min ratio
-    ||Ax||_p / ||Rx||_2 over the conditioner's probes, and exactly 1 at p = 2.
-    Its R is factored from a p-stable sketch of A at p < 2 and from A itself
-    at p >= 2, so at p > 2 V is A's right singular vectors and D is A's
-    singular values times one probed scale.
+    deterministic path.  For the randomized one it is proved at p <= 2 (see
+    :func:`randomized_conditioner`); at p > 2 it is the max/min ratio
+    ||Ax||_p / ||Rx||_2 over the conditioner's probes, V is A's right singular
+    vectors and D is A's singular values times one probed scale.
     ``iterations`` records the ellipsoid work that produced (D, V).
     """
 
@@ -61,16 +63,13 @@ class LpSvd:
 
 @dataclass(frozen=True)
 class ConditionerResult:
-    """Invertible R with ||Rx||_2 <= ||Ax||_p on all probed x (all x at p = 2).
+    """Invertible R with ||Rx||_2 <= ||Ax||_p <= distortion ||Rx||_2 (up to the 1e-9 margin).
 
-    ``sketch_rows`` counts the rows R was factored from: the p-stable sketch's
-    min(n, 8 d^2) for p < 2, and n when R comes from A itself (p >= 2, or a
-    rank-deficient sketch).
+    Both sides hold for every x at p <= 2, and on the probed x at p > 2.
     """
 
     R: np.ndarray
     distortion: float
-    sketch_rows: int
 
     def __post_init__(self):
         object.__setattr__(self, "R", frozen(self.R))
@@ -103,71 +102,58 @@ def lp_svd(a, p: float, cfg: LownerConfig | None = None) -> LpSvd:
     return _finish(a, res.D, res.V, p, distortion, "lowner", iterations)
 
 
-def _stable_samples(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """Standard p-stable variates (Chambers-Mallows-Stuck)."""
-    if p == 1.0:
-        return rng.standard_cauchy(size)
-    theta = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
-    w = rng.exponential(1.0, size)
-    return (
-        np.sin(p * theta)
-        / np.cos(theta) ** (1.0 / p)
-        * (np.cos(theta * (1.0 - p)) / w) ** ((1.0 - p) / p)
-    )
+def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
+    """Lewis-weighted factor of A for p in [1, 2]: (R, gamma, sum w).
 
+    Over the nonzero rows a_i (a zero row adds nothing to either side of
+    the sandwich), each step factors B = S A with S = diag(s), s = w^(1/2 - 1/p),
+    as Q R, reads tau_i = ||q_i||^2 / s_i^2 = a_i^T (B^T B)^-1 a_i and moves
+    to w = tau^(p/2), starting at w = 1 and stopping once s changes by at
+    most _LEWIS_TOL relative (at p = 2, after one QR).  R, gamma =
+    max_i s_i^2 tau_i^(1 - p/2) and sum w are those of one QR, so for every x
 
-def _sketch(a: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Sparse p-stable embedding S A of min(n, 8 d^2) rows, for p in [1, 2)."""
-    n, d = a.shape
-    m = min(n, 8 * d * d)
-    buckets = rng.integers(0, m, n)
-    scales = _stable_samples(rng, p, n)
-    sa = np.zeros((m, d))
-    np.add.at(sa, buckets, a * scales[:, None])
-    return sa
+        ||Rx||_2 <= gamma^(1/p) ||Ax||_p    (|a_i x| <= sqrt(tau_i) ||Rx||_2)
+        ||Ax||_p <= (sum w)^(1/p - 1/2) ||Rx||_2    (Holder)
+
+    hold for the weights used, converged or not.
+    """
+    rows = a[np.any(a != 0.0, axis=1)]
+    w = np.ones(rows.shape[0])
+    for _ in range(_LEWIS_ITERS):
+        s = w ** (0.5 - 1.0 / p)
+        q, r = qr(rows * s[:, None])
+        tau = np.einsum("ij,ij->i", q, q) / (s * s)
+        gamma, wsum = float(np.max(s * s * tau ** (1.0 - p / 2.0))), float(w.sum())
+        w = tau ** (p / 2.0)
+        if np.max(np.abs(w ** (0.5 - 1.0 / p) / s - 1.0)) <= _LEWIS_TOL:
+            break
+    return r, gamma, wsum
 
 
 def randomized_conditioner(a, p: float, seed: int = 0) -> ConditionerResult:
-    """Conditioner R with ||Rx||_2 <= ||Ax||_p (exact at p = 2, probed otherwise).
+    """Conditioner R with ||Rx||_2 <= ||Ax||_p (proved at p <= 2, probed above).
 
-    At p = 2 R is exact: ||Ax||_2 = ||R_A x||_2 for A = Q R_A, so R is the
-    triangular factor of qr(A) shrunk by the relative margin 1e-9, the
-    distortion is 1, and ``seed`` does not change the result.
+    For p in [1, 2] R is the Lewis-weighted factor of :func:`_sketch` scaled
+    by gamma^(-1/p) (1 - 1e-9), and the proved distortion is
+    (sum w)^(1/p - 1/2) gamma^(1/p): d^(1/p - 1/2) at the fixed point, and
+    exactly 1 at p = 2, where R is A's own QR factor.  ``seed`` is unused.
 
-    For p in [1, 2) R starts as the triangular factor of qr(S A) for one sparse
-    p-stable embedding S of min(n, 8 d^2) rows, drawn from ``seed``.  When S A
-    comes out rank deficient, as bucket collisions make it on small square
-    inputs, A itself is used.  For p > 2 R starts as A's own factor R_A, and
-    ``seed`` picks only the probes and the ascent starts: a row sample S with
-    E[(S A)^T S A] a multiple of A^T A would only estimate R_A with noise.
-
-    Away from p = 2, R is then rescaled by the smallest observed ratio
-    ||Ax||_p / ||Rx||_2 (1000 fixed Gaussian probes plus a multi-start
-    ascent to the minimizing direction), restoring the one-sided guarantee on
-    every probed x.  The reported distortion is the max/min ratio over the
-    fixed probes.
+    For p > 2 R is A's own factor R_A rescaled by the smallest observed ratio
+    ||Ax||_p / ||Rx||_2 over 1000 Gaussian probes drawn from ``seed`` and a
+    multi-start ascent to the minimizing direction; the reported distortion
+    is the max/min ratio over the probes.
     """
     a = as_matrix(a, "a")
     n, d = a.shape
     if n < d:
         raise ShapeMismatch(f"conditioner expects rows >= cols, got {n}x{d}")
     level = LevelSet(a, p)  # validates rank and p
-    sa = _sketch(a, p, philox(seed, stream=0)) if p < 2 else a
-    try:
-        _, r = qr(sa)
-    except RankDeficient:
-        if sa is a:
-            raise
-        # Bucket collisions can leave the sketch of a small input rank
-        # deficient; A itself has the full rank LevelSet checked.
-        sa = a
-        try:
-            _, r = qr(a)
-        except RankDeficient:
-            raise RankDeficient("the p-stable sketch and the input itself were both rank deficient") from None
-    if p == 2:
-        return ConditionerResult(R=r * (1.0 - _LOWER_MARGIN), distortion=1.0, sketch_rows=n)
+    if p <= 2:
+        r, gamma, wsum = _sketch(a, p)
+        distortion = wsum ** (1.0 / p - 0.5) * gamma ** (1.0 / p)
+        return ConditionerResult(R=r * (gamma ** (-1.0 / p) * (1.0 - _LOWER_MARGIN)), distortion=distortion)
 
+    _, r = qr(a)
     probes = philox(seed, stream=_SAMPLE_STREAM).standard_normal((1000, d))
     num = level.norms(probes)
     den = np.linalg.norm(probes @ r.T, axis=1)
@@ -184,11 +170,14 @@ def randomized_conditioner(a, p: float, seed: int = 0) -> ConditionerResult:
     rmin_certified = min(float(ratios.min()), 1.0 / math.sqrt(float(vals.max())))
     khat = float(ratios.max() / ratios.min())
     r_scaled = r * (rmin_certified * (1.0 - _LOWER_MARGIN))
-    return ConditionerResult(R=r_scaled, distortion=khat, sketch_rows=sa.shape[0])
+    return ConditionerResult(R=r_scaled, distortion=khat)
 
 
 def lp_svd_randomized(a, p: float, seed: int = 0) -> LpSvd:
-    """Randomized ||.||_p-SVD: (D, V) from the SVD of :func:`randomized_conditioner`'s R."""
+    """Randomized ||.||_p-SVD: (D, V) from the SVD of :func:`randomized_conditioner`'s R.
+
+    Deterministic at p <= 2 (Lewis weights); ``seed`` picks the probes only at p > 2.
+    """
     a = as_matrix(a, "a")
     cond = randomized_conditioner(a, p, seed=seed)
     _, dvals, v = svd(cond.R)

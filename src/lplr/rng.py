@@ -3,7 +3,7 @@
 All randomness in the library flows through :func:`philox`, a counter-based
 64-bit generator (numpy's Philox 4x64).  Identical (seed, stream) pairs
 produce identical streams on every platform, which is what makes reports and
-sketches reproducible bit-for-bit.
+probe directions reproducible bit-for-bit.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 Apart from ``reference_cut_loop`` and ``reference_ascend``, none of these
 call back into ``lplr``'s numerical paths: eigenvalues come from a classical
 Jacobi rotation sweep, Cholesky from textbook elimination, gradients from
-central finite differences, and minimum-volume enclosing ellipsoids from a
-plain Khachiyan iteration on an explicit point set.  ``reference_cut_loop``
+central finite differences, minimum-volume enclosing ellipsoids from a
+plain Khachiyan iteration on an explicit point set, and the smallest
+sandwich ratio of a conditioner from a projected descent in the input's own
+orthonormal basis.  ``reference_cut_loop``
 is the cut stage composed only of the public, validating ellipsoid
 primitives, against which the raw-array loop in ``lplr.lowner`` is compared
 bit for bit.  ``reference_ascend`` is the untrimmed ascent oracle, which
@@ -209,3 +211,41 @@ def reference_ascend(level, minv, starts, iters):
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         step *= 0.93
     return best_val, level.boundary(best_u)
+
+
+def whitened_lower_ratio(a, p, r, starts, iters, seed):
+    """Smallest ||Ax||_p / ||Rx||_2 found by multi-start projected descent.
+
+    The descent runs in A's QR basis: with A = Q R_A and x = R_A^-1 y the
+    ratio is ||Qy||_p / ||R R_A^-1 y||_2, whose numerator is the p-norm of a
+    unit-2-norm vector's image under an orthonormal Q, so the search is as
+    well conditioned at cond(A) = 1e9 as at 1.  Each of ``starts`` random unit
+    y (from ``seed``) takes ``iters`` normalized steps down the tangential
+    gradient of the log ratio with a geometrically shrinking step, and the
+    best iterate of every start is kept.  Returns (ratio, witness x).
+    """
+    a = np.asarray(a, dtype=float)
+    q, ra = np.linalg.qr(a)
+    t = np.linalg.solve(ra.T, np.asarray(r, dtype=float).T).T  # R R_A^-1
+    y = np.random.default_rng(seed).standard_normal((starts, a.shape[1]))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    best_val = np.full(starts, np.inf)
+    best_y = y.copy()
+    step = 0.5
+    for _ in range(iters):
+        qy = y @ q.T
+        absqy = np.abs(qy)
+        num = (absqy**p).sum(axis=1)
+        ty = y @ t.T
+        den = (ty * ty).sum(axis=1)
+        val = num ** (1.0 / p) / np.sqrt(den)
+        better = val < best_val
+        best_val[better] = val[better]
+        best_y[better] = y[better]
+        grad = ((np.sign(qy) * absqy ** (p - 1.0)) @ q) / num[:, None] - (ty @ t) / den[:, None]
+        grad -= np.einsum("ij,ij->i", grad, y)[:, None] * y
+        y = y - step * grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-300)
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        step *= 0.97
+    j = int(np.argmin(best_val))
+    return float(best_val[j]), np.linalg.solve(ra, best_y[j])

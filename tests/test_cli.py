@@ -288,6 +288,27 @@ def test_sweep_workers_below_one_is_usage_error(tmp_path, synth_file, workers):
     assert not rep_path.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--ks", ","), ("--ks", ""), ("--ps", ","), ("--methods", ",")])
+def test_sweep_empty_grid_is_usage_error(tmp_path, synth_file, capsys, flag, value):
+    rep_path = tmp_path / "rep.json"
+    opts = {"--ks": "2", "--ps": "1", "--methods": "svd", flag: value}
+    argv = ["sweep", "--input", str(synth_file), "--report", str(rep_path)]
+    for name, text in opts.items():
+        argv += [name, text]
+    assert main(argv) == 1
+    assert f"usage error: {flag}" in capsys.readouterr().err
+    assert not rep_path.exists()
+
+
+def test_sweep_unknown_method_is_usage_error(tmp_path, synth_file, capsys):
+    rep_path = tmp_path / "rep.json"
+    argv = ["sweep", "--input", str(synth_file), "--ks", "2", "--ps", "1", "--methods", "svd,bogus",
+            "--report", str(rep_path)]
+    assert main(argv) == 1
+    assert "one of lowner, randomized, svd" in capsys.readouterr().err
+    assert not rep_path.exists()
+
+
 def _recorded_jobs(monkeypatch, synth_file, tmp_path, ks, ps, methods):
     """(ks, p, method) of every sweep job, in the order the sweep starts them."""
     jobs = []

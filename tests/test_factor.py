@@ -1,11 +1,23 @@
 import numpy as np
 import pytest
 
-from lplr.errors import InvalidP, InvalidRank
-from lplr.factor import Method, assemble, error_bounds, l2_low_rank, lp_low_rank, low_rank, orient
+from lplr.errors import InvalidConfig, InvalidP, InvalidRank
+from lplr.factor import Method, assemble, error_bounds, factorize, l2_low_rank, lp_low_rank, low_rank, orient
 from lplr.matcore import entrywise_pnorm_pow
 
 from oracles import best_projection_residual_sq, mvee_axis_reciprocals
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: low_rank(a, 2, 1.0, "bogus"),
+    lambda a: lp_low_rank(a, 2, 1.0, method="bogus"),
+    lambda a: factorize(a, 1.0, "bogus"),
+    lambda a: error_bounds(np.ones(4), 2, 1.0, 4, 30, "bogus"),
+], ids=["low_rank", "lp_low_rank", "factorize", "error_bounds"])
+def test_unknown_method_is_invalid_config(call):
+    a = np.random.default_rng(3).normal(size=(30, 4))
+    with pytest.raises(InvalidConfig, match="one of lowner, randomized, svd, got 'bogus'"):
+        call(a)
 
 
 class TestOrient:

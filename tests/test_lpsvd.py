@@ -12,7 +12,7 @@ from lplr.lpsvd import lp_svd, lp_svd_randomized, randomized_conditioner, sandwi
 from lplr.matcore import entrywise_pnorm_pow, qr
 from lplr.rng import philox
 
-from oracles import mvee_axis_reciprocals
+from oracles import mvee_axis_reciprocals, whitened_lower_ratio
 
 # The package attribute ``lplr.lowner`` is the function, not the module.
 lowner_module = importlib.import_module("lplr.lowner")
@@ -133,37 +133,18 @@ class TestRandomizedConditioner:
         np.testing.assert_array_equal(c1.R, c2.R)
         assert c1.distortion == c2.distortion
 
-    def test_sketch_failure_counts_every_attempt(self, monkeypatch):
-        calls = []
-
-        def deficient(m):
-            calls.append(m.shape)
-            raise RankDeficient("forced")
-
-        monkeypatch.setattr(lpsvd, "qr", deficient)
-        a = np.random.default_rng(15).normal(size=(50, 4))
-        with pytest.raises(RankDeficient, match="sketch and the input itself were both rank deficient"):
-            randomized_conditioner(a, 1.0)
-        # one sketch, then the unsketched input
-        assert len(calls) == 2 and calls[-1] == (50, 4)
-
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
     def test_square_input_falls_back_to_unsketched(self, p):
-        # At n = d the p < 2 sketch of this input has colliding buckets and
-        # comes out rank deficient; p > 2 never sketches.
+        # At n = d every row has leverage 1 under any row scaling, so the Lewis
+        # weights are all 1 and p <= 2 keeps A's own factor, as p > 2 does.
         a = philox(3).standard_normal((6, 6))
         cond = randomized_conditioner(a, p)
-        assert cond.sketch_rows == 6
         scales = cond.R[np.triu_indices(6)] / qr(a)[1][np.triu_indices(6)]
         assert scales.min() > 0
         np.testing.assert_allclose(scales, scales[0], rtol=1e-12)
         fac = lp_svd_randomized(a, p)
         lo, _ = sandwich_check(a, p, fac.D, fac.V)
         assert lo >= 1.0 - 1e-9
-
-    def test_tall_input_keeps_its_sketch(self):
-        a = philox(3).standard_normal((400, 6))
-        assert randomized_conditioner(a, 1.0).sketch_rows < 400
 
     def test_distortion_finite_and_reported(self):
         a = np.random.default_rng(9).normal(size=(400, 6))
@@ -197,7 +178,6 @@ class TestExactConditionerAtP2:
     def test_distortion_is_one_and_nothing_is_sketched(self):
         cond = randomized_conditioner(self.planted_2000x16(), 2.0)
         assert cond.distortion == 1.0
-        assert cond.sketch_rows == 2000
 
     def test_seed_does_not_change_r(self):
         a = self.planted_2000x16()
@@ -214,6 +194,53 @@ class TestExactConditionerAtP2:
         assert ratios.min() >= 1.0
 
 
+def planted(n, d, seed):
+    return generate_synthetic(SyntheticSpec(n=n, d=d, k_true=d // 4, outlier_fraction=0.05, noise_sigma=0.01,
+                                            outlier_scale=20.0, seed=seed))
+
+
+class TestLewisConditionerBelowP2:
+    """At p < 2 both sides of the conditioner's sandwich are proved from its Lewis weights."""
+
+    @staticmethod
+    def assert_both_sides(a, p):
+        # The whitened probe minimizes ||Ax||_p / ||Rx||_2 in A's QR basis, so
+        # an ill-conditioned A does not hide the minimizing direction from it.
+        cond = randomized_conditioner(a, p)
+        assert np.all(np.isfinite(cond.R))
+        ratio, _ = whitened_lower_ratio(a, p, cond.R, starts=64, iters=200, seed=11)
+        assert ratio >= 1.0 - 1e-9
+        fac = lp_svd_randomized(a, p)
+        lo, hi = sandwich_check(a, p, fac.D, fac.V)
+        assert fac.distortion == cond.distortion >= hi / lo
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_both_sides_hold_on_a_planted_input(self, p):
+        self.assert_both_sides(planted(2000, 16, 5), p)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_both_sides_hold_when_the_cap_ends_the_fixed_point(self, monkeypatch, cap, p):
+        monkeypatch.setattr(lpsvd, "_LEWIS_ITERS", cap)
+        self.assert_both_sides(planted(2000, 16, 5), p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_zero_rows_are_left_out_of_the_weights(self, p):
+        a = planted(200, 8, 5)
+        a[[17, 120]] = 0.0
+        self.assert_both_sides(a, p)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_distortion_is_the_lewis_constant(self, p):
+        cond = randomized_conditioner(planted(2000, 16, 5), p)
+        assert cond.distortion == pytest.approx(16 ** (1.0 / p - 0.5), rel=1e-3)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_seed_does_not_change_r(self, p):
+        a = planted(2000, 16, 5)
+        assert randomized_conditioner(a, p, seed=0).R.tobytes() == randomized_conditioner(a, p, seed=7).R.tobytes()
+
+
 class TestInputFactorAboveP2:
     """At p > 2 the conditioner is the input's own QR factor times one probed scale."""
 
@@ -221,19 +248,17 @@ class TestInputFactorAboveP2:
                                            (20000, 32, 1000, 4.0)], ids=lambda c: f"{c[0]}x{c[1]}-p{c[3]:g}")
     def case(self, request):
         n, d, seed, p = request.param
-        a = generate_synthetic(SyntheticSpec(n=n, d=d, k_true=d // 4, outlier_fraction=0.05, noise_sigma=0.01,
-                                             outlier_scale=20.0, seed=seed))
+        a = planted(n, d, seed)
         return a, p, randomized_conditioner(a, p), lp_svd_randomized(a, p)
 
     def test_r_is_a_multiple_of_the_inputs_factor(self, case):
         # A uniform sample of min(n, 8 d^2 ln n) rows, drawn with replacement,
         # would take all n rows of both inputs and only reweight them.
         a, _, cond, _ = case
-        n, d = a.shape
-        upper = np.triu_indices(d)
+        upper = np.triu_indices(a.shape[1])
         scales = cond.R[upper] / qr(a)[1][upper]
         np.testing.assert_allclose(scales, scales[0], rtol=1e-12, atol=0)
-        assert scales[0] > 0 and cond.sketch_rows == n
+        assert scales[0] > 0
 
     def test_v_is_the_inputs_right_singular_vectors(self, case):
         a, _, _, fac = case
@@ -273,7 +298,7 @@ class TestLpSvdRandomized:
     def test_randomized_faster_than_deterministic_at_scale(self, monkeypatch):
         # wall-clock comparison on a 10000 x 64 input; the deterministic
         # ellipsoid path runs minutes even at a loosened refinement
-        # tolerance, the sketched path runs seconds
+        # tolerance, the randomized path runs seconds
         a = np.random.default_rng(12).normal(size=(10000, 64))
         t0 = time.perf_counter()
         lp_svd_randomized(a, 1.0, seed=6)

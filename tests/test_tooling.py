@@ -54,10 +54,11 @@ def test_ascend_arguments_are_what_the_trace_reads():
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
-        randomized_conditioner(a, 1.5, seed=1)
+        randomized_conditioner(a, 3.0, seed=1)
     finally:
         tracer.uninstall()
-    # The conditioner's one ascent: d eigenvector starts plus 32 random ones, 120 iterations each.
+    # The conditioner's one ascent, run only at p > 2: d eigenvector starts
+    # plus 32 random ones, 120 iterations each.
     point_iters = (4 + 32) * 120
     assert tracer.counters["lowner.ascend.point_iters"] == point_iters
     assert tracer.counters["lowner.ascend.gflop"] == point_iters * 4.0 * 60 * 4 / 1e9
