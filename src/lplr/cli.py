@@ -205,12 +205,13 @@ def _cmd_sweep(args) -> int:
             raise _UsageError(f"rank {k} out of range for a {a.shape[0]}x{a.shape[1]} input")
     # Costliest jobs first: the pool starts jobs in submission order, so a long
     # job submitted last runs while the other workers sit idle.  lowner solves
-    # cost most, then the randomized conditioner's ascent; an svd job is one
-    # SVD.  Within a method, p outside {1, 2} goes first, then p = 1, and p = 2
-    # last, where both lowner and the conditioner are closed forms (20000x32
-    # randomized jobs at one BLAS thread: 2.4-2.6 s at p = 1.5, 3 and 4, 2.2 s
-    # at p = 1, 0.3 s at p = 2); among p outside {1, 2}, larger p first.  Rows
-    # are sorted after the pool, so the order never reaches the output.
+    # cost most, then the randomized conditioner's Lewis fixed point; an svd
+    # job is one SVD.  Within a method, p outside {1, 2} goes first, then
+    # p = 1, and p = 2 last, where both lowner and the conditioner are closed
+    # forms (20000x32 jobs at one BLAS thread: randomized 0.6 s at p = 3 and 4,
+    # 0.5 s at p = 1 and 1.5, 0.27 s at p = 2; svd 0.2 s); among p outside
+    # {1, 2}, larger p first.  Rows are sorted after the pool, so the order
+    # never reaches the output.
     cost = {Method.LOWNER: 0, Method.RANDOMIZED: 1, Method.SVD: 2}
     tier = {1.0: 1, 2.0: 2}
     jobs = sorted(((p, m) for p in ps for m in methods), key=lambda j: (cost[j[1]], tier.get(j[0], 0), -j[0]))

@@ -140,7 +140,7 @@ def l2_svd(a) -> LpSvd:
 
 
 def factorize(oriented: np.ndarray, p: float, method: Method | str, seed: int = 0, cfg: LownerConfig | None = None) -> LpSvd:
-    """The factorization of a tall matrix by ``method``; ``seed`` only affects randomized at p > 2."""
+    """The factorization of a tall matrix by ``method``; ``seed`` changes none of them."""
     method = Method(method)
     if method is Method.SVD:
         return l2_svd(oriented)
@@ -153,8 +153,8 @@ def low_rank(a, k: int, p: float, method: Method | str, seed: int = 0, cfg: Lown
     """Rank-k approximation of A by the lp paths or the SVD baseline (oriented internally if wide).
 
     ``method`` picks the deterministic Loewner path, the randomized one or the
-    SVD; ``seed`` only affects the randomized path at p > 2 and ``cfg`` only
-    the Loewner one.
+    SVD; ``seed`` changes no result, and ``cfg`` only affects the Loewner
+    path.
     """
     oriented, transposed = orient(a)
     _check_rank(k, oriented.shape[1])

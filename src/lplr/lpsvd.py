@@ -6,9 +6,8 @@ ellipsoid {x : ||D V^T x||_2 <= 1} sandwiching the level set of A, so that
     ||D V^T x||_2 <= ||Ax||_p <= kappa ||D V^T x||_2     for all x,
 
 with kappa <= sqrt(d) for the deterministic (Loewner ellipsoid) path.  The
-randomized path conditions with A's Lewis weights at p <= 2, where kappa is
-proved (d^(1/p - 1/2) at their fixed point, 1 at p = 2), and with A's own QR
-factor and a probed scale at p > 2, where kappa is measured.
+randomized path conditions with A's Lewis weights at every p, where both
+sides are proved and kappa is d^|1/p - 1/2| at their fixed point (1 at p = 2).
 U := A (D V^T)^-1 makes U D V^T = A exactly, so truncating D yields rank-k
 approximations with entry-wise p-norm error controlled by the sandwiched
 singular values.
@@ -21,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooSmall, ShapeMismatch, SvdFailure
-from .lowner import LevelSet, LownerConfig, _ascend, lowner, pnorms
-from .matcore import as_matrix, frozen, qr, svd
+from .errors import DimensionTooSmall, RankDeficient, ShapeMismatch, SvdFailure
+from .lowner import LownerConfig, lowner, pnorms
+from .matcore import as_matrix, check_p, frozen, qr, svd
 from .rng import philox
 
-_SAMPLE_STREAM = 101
-_DESCENT_STREAM = 707
 _SANDWICH_SAMPLES = 1000  # Gaussian directions of sandwich_check, besides the 2d axes
 _SANDWICH_SEED = 424242
 _LEWIS_TOL = 1e-3  # largest relative change of the row scales s that ends the Lewis fixed point
@@ -40,10 +37,8 @@ class LpSvd:
     """A = U D V^T with the sandwich property at exponent p.
 
     ``distortion`` is the upper ratio kappa: sqrt(d) (1 + slack) for the
-    deterministic path.  For the randomized one it is proved at p <= 2 (see
-    :func:`randomized_conditioner`); at p > 2 it is the max/min ratio
-    ||Ax||_p / ||Rx||_2 over the conditioner's probes, V is A's right singular
-    vectors and D is A's singular values times one probed scale.
+    deterministic path, and the proved constant of the Lewis-weight
+    conditioner for the randomized one (see :func:`randomized_conditioner`).
     ``iterations`` records the ellipsoid work that produced (D, V).
     """
 
@@ -63,9 +58,9 @@ class LpSvd:
 
 @dataclass(frozen=True)
 class ConditionerResult:
-    """Invertible R with ||Rx||_2 <= ||Ax||_p <= distortion ||Rx||_2 (up to the 1e-9 margin).
+    """Invertible R with ||Rx||_2 <= ||Ax||_p <= distortion ||Rx||_2 for every x.
 
-    Both sides hold for every x at p <= 2, and on the probed x at p > 2.
+    Both sides are proved; the lower one keeps a 1e-9 relative margin for rounding.
     """
 
     R: np.ndarray
@@ -103,80 +98,76 @@ def lp_svd(a, p: float, cfg: LownerConfig | None = None) -> LpSvd:
 
 
 def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
-    """Lewis-weighted factor of A for p in [1, 2]: (R, gamma, sum w).
+    """Lewis-weighted factor of A: (R, lo, hi) with lo ||Rx||_2 <= ||Ax||_p <= hi ||Rx||_2.
 
     Over the nonzero rows a_i (a zero row adds nothing to either side of
     the sandwich), each step factors B = S A with S = diag(s), s = w^(1/2 - 1/p),
-    as Q R, reads tau_i = ||q_i||^2 / s_i^2 = a_i^T (B^T B)^-1 a_i and moves
-    to w = tau^(p/2), starting at w = 1 and stopping once s changes by at
-    most _LEWIS_TOL relative (at p = 2, after one QR).  R, gamma =
-    max_i s_i^2 tau_i^(1 - p/2) and sum w are those of one QR, so for every x
+    into R alone, reads tau_i = ||a_i R^-1||^2 = a_i^T (B^T B)^-1 a_i from A's
+    own rows, so that |a_i x| <= sqrt(tau_i) ||Rx||_2, and moves to w = tau^(p/2)
+    (at p > 2 the damped w^(1/2) tau^(p/4), since the plain step need not
+    settle at p >= 4).  It starts at w = 1, where R is A's own factor and
+    carries the rank test, and stops once s changes by at most _LEWIS_TOL
+    relative on the rows with s > 0 (at p = 2, after one QR).  With
+    g_i = tau_i^(p/2 - 1) / s_i^2 over those rows:
 
-        ||Rx||_2 <= gamma^(1/p) ||Ax||_p    (|a_i x| <= sqrt(tau_i) ||Rx||_2)
-        ||Ax||_p <= (sum w)^(1/p - 1/2) ||Rx||_2    (Holder)
+        p <= 2:  lo = (min g)^(1/p),  hi = (sum w)^(1/p - 1/2) by Holder;
+        p > 2:   lo = (sum w)^(1/p - 1/2) by Holder,
+                 hi = (max g + sum_{s_i = 0} tau_i^(p/2))^(1/p),
 
-    hold for the weights used, converged or not.
+    where a row whose weight underflowed to 0 adds at most
+    tau_i^(p/2) ||Rx||_2^p to ||Ax||_p^p.  R, lo and hi are those of one QR,
+    so both sides hold for the weights used, converged or not; at the fixed
+    point hi / lo is d^|1/p - 1/2|.
     """
     rows = a[np.any(a != 0.0, axis=1)]
+    if rows.shape[0] < a.shape[1]:
+        raise RankDeficient("conditioner requires a matrix of full column rank")
+    e = 0.5 - 1.0 / p
     w = np.ones(rows.shape[0])
-    for _ in range(_LEWIS_ITERS):
-        s = w ** (0.5 - 1.0 / p)
-        q, r = qr(rows * s[:, None])
-        tau = np.einsum("ij,ij->i", q, q) / (s * s)
-        gamma, wsum = float(np.max(s * s * tau ** (1.0 - p / 2.0))), float(w.sum())
-        w = tau ** (p / 2.0)
-        if np.max(np.abs(w ** (0.5 - 1.0 / p) / s - 1.0)) <= _LEWIS_TOL:
+    for it in range(_LEWIS_ITERS):
+        s = w**e
+        r = qr(rows * s[:, None])
+        if it == 0:
+            sv = np.linalg.svd(r, compute_uv=False)  # A's singular values
+            if sv[-1] <= 1e-10 * sv[0]:
+                raise RankDeficient("conditioner requires a matrix of full column rank")
+        u = rows @ np.linalg.inv(r)
+        tau = np.einsum("ij,ij->i", u, u)
+        pos = s > 0
+        g = tau[pos] ** (p / 2.0 - 1.0) / (s[pos] * s[pos])
+        wsum = float(w.sum())
+        if p <= 2:
+            lo, hi = float(g.min()) ** (1.0 / p), wsum**-e
+            w = tau ** (p / 2.0)
+        else:
+            lo, hi = wsum**-e, float(g.max() + np.sum(tau[~pos] ** (p / 2.0))) ** (1.0 / p)
+            w = np.sqrt(w) * tau ** (p / 4.0)
+        if np.max(np.abs(w[pos] ** e / s[pos] - 1.0)) <= _LEWIS_TOL:
             break
-    return r, gamma, wsum
+    return r, lo, hi
 
 
 def randomized_conditioner(a, p: float, seed: int = 0) -> ConditionerResult:
-    """Conditioner R with ||Rx||_2 <= ||Ax||_p (proved at p <= 2, probed above).
+    """Conditioner R with ||Rx||_2 <= ||Ax||_p <= distortion ||Rx||_2, both sides proved.
 
-    For p in [1, 2] R is the Lewis-weighted factor of :func:`_sketch` scaled
-    by gamma^(-1/p) (1 - 1e-9), and the proved distortion is
-    (sum w)^(1/p - 1/2) gamma^(1/p): d^(1/p - 1/2) at the fixed point, and
-    exactly 1 at p = 2, where R is A's own QR factor.  ``seed`` is unused.
-
-    For p > 2 R is A's own factor R_A rescaled by the smallest observed ratio
-    ||Ax||_p / ||Rx||_2 over 1000 Gaussian probes drawn from ``seed`` and a
-    multi-start ascent to the minimizing direction; the reported distortion
-    is the max/min ratio over the probes.
+    R is the Lewis-weighted factor of :func:`_sketch` scaled by lo (1 - 1e-9),
+    and the distortion is hi / lo: d^|1/p - 1/2| at the Lewis fixed point,
+    exactly 1 at p = 2, where R is A's own QR factor.  Nothing is sampled, so
+    ``seed`` is unused; it stays for the callers that pass one.
     """
     a = as_matrix(a, "a")
     n, d = a.shape
     if n < d:
         raise ShapeMismatch(f"conditioner expects rows >= cols, got {n}x{d}")
-    level = LevelSet(a, p)  # validates rank and p
-    if p <= 2:
-        r, gamma, wsum = _sketch(a, p)
-        distortion = wsum ** (1.0 / p - 0.5) * gamma ** (1.0 / p)
-        return ConditionerResult(R=r * (gamma ** (-1.0 / p) * (1.0 - _LOWER_MARGIN)), distortion=distortion)
-
-    _, r = qr(a)
-    probes = philox(seed, stream=_SAMPLE_STREAM).standard_normal((1000, d))
-    num = level.norms(probes)
-    den = np.linalg.norm(probes @ r.T, axis=1)
-    ratios = num / den
-    # Descend to the true minimum of the ratio: the minimizer of
-    # ||Ax||_p / ||Rx||_2 maximizes x^T (R^T R) x / ||Ax||_p^2.
-    starts = np.concatenate(
-        [
-            np.linalg.eigh(r.T @ r)[1].T,
-            philox(seed, stream=_DESCENT_STREAM).standard_normal((max(32, 2 * d), d)),
-        ]
-    )
-    vals, _ = _ascend(level, r.T @ r, starts, 120)
-    rmin_certified = min(float(ratios.min()), 1.0 / math.sqrt(float(vals.max())))
-    khat = float(ratios.max() / ratios.min())
-    r_scaled = r * (rmin_certified * (1.0 - _LOWER_MARGIN))
-    return ConditionerResult(R=r_scaled, distortion=khat)
+    check_p(p)
+    r, lo, hi = _sketch(a, p)
+    return ConditionerResult(R=r * (lo * (1.0 - _LOWER_MARGIN)), distortion=hi / lo)
 
 
 def lp_svd_randomized(a, p: float, seed: int = 0) -> LpSvd:
     """Randomized ||.||_p-SVD: (D, V) from the SVD of :func:`randomized_conditioner`'s R.
 
-    Deterministic at p <= 2 (Lewis weights); ``seed`` picks the probes only at p > 2.
+    Deterministic: the Lewis weights are a fixed point, and ``seed`` changes nothing.
     """
     a = as_matrix(a, "a")
     cond = randomized_conditioner(a, p, seed=seed)

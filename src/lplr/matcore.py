@@ -114,21 +114,21 @@ def cholesky(f) -> np.ndarray:
         raise NotPositiveDefinite("matrix has a non-positive pivot; not positive definite") from None
 
 
-def qr(a) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of a tall matrix with a non-negative diagonal on R.
+def qr(a) -> np.ndarray:
+    """R factor of the reduced QR of a tall matrix, with a non-negative diagonal.
 
-    Raises RankDeficient when any diagonal entry of R falls below
-    1e-12 times the Frobenius norm of the input.
+    R^T R = A^T A; Q is never formed.  Raises RankDeficient when any
+    diagonal entry of R falls below 1e-12 times the Frobenius norm of the
+    input.
     """
     m = as_matrix(a, "a")
     n, d = m.shape
     if n < d:
         raise ShapeMismatch(f"qr expects rows >= cols, got {n}x{d}")
-    q, r = np.linalg.qr(m)
+    r = np.linalg.qr(m, mode="r")
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    q = q * signs
     r = r * signs[:, None]
     if np.min(np.diag(r)) < 1e-12 * np.linalg.norm(m):
         raise RankDeficient("matrix is (numerically) rank deficient")
-    return q, r
+    return r

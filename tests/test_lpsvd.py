@@ -1,4 +1,5 @@
 import importlib
+import math
 import time
 
 import numpy as np
@@ -6,10 +7,9 @@ import pytest
 
 from lplr import SyntheticSpec, generate_synthetic, lpsvd
 from lplr.errors import RankDeficient, ShapeMismatch
-from lplr.factor import assemble, l2_low_rank, lp_low_rank, truncate_factorization
 from lplr.lowner import DIRECTION_BLOCK, LevelSet, LownerConfig
 from lplr.lpsvd import lp_svd, lp_svd_randomized, randomized_conditioner, sandwich_check
-from lplr.matcore import entrywise_pnorm_pow, qr
+from lplr.matcore import qr
 from lplr.rng import philox
 
 from oracles import mvee_axis_reciprocals, whitened_lower_ratio
@@ -115,7 +115,6 @@ class TestRandomizedConditioner:
         ratios = LevelSet(a, 1.0).norms(xs) / np.linalg.norm(xs @ cond.R.T, axis=1)
         assert ratios.min() >= 1.0 - 1e-6
 
-    # 5000 rows: the conditioner's probes and its 120-iteration ascent run in row chunks.
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
     def test_lower_inequality_on_tall_planted_input(self, p):
         spec = SyntheticSpec(n=5000, d=8, k_true=2, outlier_fraction=0.05, noise_sigma=0.01,
@@ -136,10 +135,10 @@ class TestRandomizedConditioner:
     @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
     def test_square_input_falls_back_to_unsketched(self, p):
         # At n = d every row has leverage 1 under any row scaling, so the Lewis
-        # weights are all 1 and p <= 2 keeps A's own factor, as p > 2 does.
+        # weights are all 1 and the conditioner keeps A's own factor at every p.
         a = philox(3).standard_normal((6, 6))
         cond = randomized_conditioner(a, p)
-        scales = cond.R[np.triu_indices(6)] / qr(a)[1][np.triu_indices(6)]
+        scales = cond.R[np.triu_indices(6)] / qr(a)[np.triu_indices(6)]
         assert scales.min() > 0
         np.testing.assert_allclose(scales, scales[0], rtol=1e-12)
         fac = lp_svd_randomized(a, p)
@@ -199,36 +198,36 @@ def planted(n, d, seed):
                                             outlier_scale=20.0, seed=seed))
 
 
+def assert_both_sides(a, p):
+    # The whitened probe minimizes ||Ax||_p / ||Rx||_2 in A's QR basis, so
+    # an ill-conditioned A does not hide the minimizing direction from it.
+    cond = randomized_conditioner(a, p)
+    assert np.all(np.isfinite(cond.R))
+    ratio, _ = whitened_lower_ratio(a, p, cond.R, starts=64, iters=200, seed=11)
+    assert ratio >= 1.0 - 1e-9
+    fac = lp_svd_randomized(a, p)
+    lo, hi = sandwich_check(a, p, fac.D, fac.V)
+    assert fac.distortion == cond.distortion >= hi / lo
+
+
 class TestLewisConditionerBelowP2:
     """At p < 2 both sides of the conditioner's sandwich are proved from its Lewis weights."""
 
-    @staticmethod
-    def assert_both_sides(a, p):
-        # The whitened probe minimizes ||Ax||_p / ||Rx||_2 in A's QR basis, so
-        # an ill-conditioned A does not hide the minimizing direction from it.
-        cond = randomized_conditioner(a, p)
-        assert np.all(np.isfinite(cond.R))
-        ratio, _ = whitened_lower_ratio(a, p, cond.R, starts=64, iters=200, seed=11)
-        assert ratio >= 1.0 - 1e-9
-        fac = lp_svd_randomized(a, p)
-        lo, hi = sandwich_check(a, p, fac.D, fac.V)
-        assert fac.distortion == cond.distortion >= hi / lo
-
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_both_sides_hold_on_a_planted_input(self, p):
-        self.assert_both_sides(planted(2000, 16, 5), p)
+        assert_both_sides(planted(2000, 16, 5), p)
 
     @pytest.mark.parametrize("cap", [1, 2])
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_both_sides_hold_when_the_cap_ends_the_fixed_point(self, monkeypatch, cap, p):
         monkeypatch.setattr(lpsvd, "_LEWIS_ITERS", cap)
-        self.assert_both_sides(planted(2000, 16, 5), p)
+        assert_both_sides(planted(2000, 16, 5), p)
 
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_zero_rows_are_left_out_of_the_weights(self, p):
         a = planted(200, 8, 5)
         a[[17, 120]] = 0.0
-        self.assert_both_sides(a, p)
+        assert_both_sides(a, p)
 
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_distortion_is_the_lewis_constant(self, p):
@@ -241,41 +240,75 @@ class TestLewisConditionerBelowP2:
         assert randomized_conditioner(a, p, seed=0).R.tobytes() == randomized_conditioner(a, p, seed=7).R.tobytes()
 
 
-class TestInputFactorAboveP2:
-    """At p > 2 the conditioner is the input's own QR factor times one probed scale."""
+class TestLewisConditionerAboveP2:
+    """At p > 2 too: Holder gives the lower side, |a_i x| <= sqrt(tau_i) ||Rx||_2 the upper one."""
 
-    @pytest.fixture(scope="class", params=[(2000, 16, 5, 3.0), (2000, 16, 5, 4.0), (20000, 32, 1000, 3.0),
-                                           (20000, 32, 1000, 4.0)], ids=lambda c: f"{c[0]}x{c[1]}-p{c[3]:g}")
-    def case(self, request):
-        n, d, seed, p = request.param
-        a = planted(n, d, seed)
-        return a, p, randomized_conditioner(a, p), lp_svd_randomized(a, p)
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_both_sides_hold_on_a_planted_input(self, p):
+        assert_both_sides(planted(2000, 16, 5), p)
 
-    def test_r_is_a_multiple_of_the_inputs_factor(self, case):
-        # A uniform sample of min(n, 8 d^2 ln n) rows, drawn with replacement,
-        # would take all n rows of both inputs and only reweight them.
-        a, _, cond, _ = case
-        upper = np.triu_indices(a.shape[1])
-        scales = cond.R[upper] / qr(a)[1][upper]
-        np.testing.assert_allclose(scales, scales[0], rtol=1e-12, atol=0)
-        assert scales[0] > 0
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_both_sides_hold_when_the_cap_ends_the_fixed_point(self, monkeypatch, cap, p):
+        monkeypatch.setattr(lpsvd, "_LEWIS_ITERS", cap)
+        assert_both_sides(planted(2000, 16, 5), p)
 
-    def test_v_is_the_inputs_right_singular_vectors(self, case):
-        a, _, _, fac = case
-        vt = np.linalg.svd(a, full_matrices=False)[2]
-        np.testing.assert_allclose(np.abs(fac.V.T @ vt.T), np.eye(a.shape[1]), rtol=0, atol=1e-8)
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_zero_rows_are_left_out_of_the_weights(self, p):
+        a = planted(200, 8, 5)
+        a[[17, 120]] = 0.0
+        assert_both_sides(a, p)
 
-    def test_rank_k_error_equals_the_svds(self, case):
-        a, p, _, fac = case
-        k_true = a.shape[1] // 4
-        # lp_low_rank factorizes once per call, so every k truncates the one
-        # factorization, and lp_low_rank itself is checked to be that truncation.
-        direct = lp_low_rank(a, k_true, p, method="randomized")
-        assert assemble(direct).tobytes() == assemble(truncate_factorization(fac, k_true)).tobytes()
-        for k in range(1, a.shape[1]):
-            err = entrywise_pnorm_pow(a - assemble(truncate_factorization(fac, k)), p)
-            ref = entrywise_pnorm_pow(a - assemble(l2_low_rank(a, k)), p)
-            assert err == pytest.approx(ref, rel=1e-10, abs=0)
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_distortion_is_the_lewis_constant(self, p):
+        cond = randomized_conditioner(planted(2000, 16, 5), p)
+        assert cond.distortion == pytest.approx(16 ** (0.5 - 1.0 / p), rel=1e-3)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_seed_does_not_change_r(self, p):
+        a = planted(2000, 16, 5)
+        assert randomized_conditioner(a, p, seed=0).R.tobytes() == randomized_conditioner(a, p, seed=7).R.tobytes()
+
+
+class TestConditionerEdgeInputs:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, 6.0])
+    def test_rows_far_smaller_than_the_others(self, p):
+        # Leverages of the 1e-120 rows lie far below a QR's rounding floor, and
+        # at p > 2 their weights underflow to 0; reading tau from A R^-1 row by
+        # row and bounding the zero-weight rows by tau^(p/2) keeps both sides
+        # and reaches the fixed point's constant 5^|1/p - 1/2|.
+        a = np.random.default_rng(5).standard_normal((400, 5))
+        a[:200] *= 1e-120
+        cond = randomized_conditioner(a, p)
+        assert np.isfinite(cond.distortion)
+        assert cond.distortion == pytest.approx(5 ** abs(1.0 / p - 0.5), abs=1e-3)
+        ratio, _ = whitened_lower_ratio(a, p, cond.R, starts=64, iters=200, seed=11)
+        assert ratio >= 1.0 - 1e-9
+
+    @staticmethod
+    def conditioned(cond_number):
+        rng = np.random.default_rng(7)
+        u = np.linalg.qr(rng.normal(size=(50, 6)))[0]
+        v = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        return (u * np.logspace(0, -math.log10(cond_number), 6)) @ v.T
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_rank_test_rejects_what_the_level_set_rejects(self, p):
+        col = np.arange(1.0, 11.0)[:, None]
+        few_rows = np.zeros((10, 4))
+        few_rows[:3] = np.random.default_rng(2).normal(size=(3, 4))
+        for a in (np.hstack([col, 2 * col, col * col]), self.conditioned(1e11), few_rows):
+            with pytest.raises(RankDeficient):
+                LevelSet(a, p)
+            with pytest.raises(RankDeficient):
+                randomized_conditioner(a, p)
+
+    @pytest.mark.parametrize("cond_number", [1e6, 1e9])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_ill_conditioned_inputs_factorize(self, cond_number, p):
+        a = self.conditioned(cond_number)
+        fac = lp_svd_randomized(a, p)
+        assert np.all(np.isfinite(fac.D)) and np.isfinite(fac.distortion)
 
 
 class TestLpSvdRandomized:

@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-from lplr.lpsvd import randomized_conditioner
-
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
@@ -51,14 +49,15 @@ def test_ascend_arguments_are_what_the_trace_reads():
     lowner = importlib.import_module("lplr.lowner")
     assert list(inspect.signature(lowner._ascend).parameters)[:4] == ["level", "minv", "starts", "iters"]
     a = np.random.default_rng(3).normal(size=(60, 4))
+    level = lowner.LevelSet(a, 3.0)
+    starts = np.random.default_rng(1).standard_normal((36, 4))
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     tracer = load_layertrace().Tracer()
     tracer.install()
     try:
-        randomized_conditioner(a, 3.0, seed=1)
+        lowner._ascend(level, a.T @ a, starts, 120)
     finally:
         tracer.uninstall()
-    # The conditioner's one ascent, run only at p > 2: d eigenvector starts
-    # plus 32 random ones, 120 iterations each.
-    point_iters = (4 + 32) * 120
+    point_iters = 36 * 120
     assert tracer.counters["lowner.ascend.point_iters"] == point_iters
     assert tracer.counters["lowner.ascend.gflop"] == point_iters * 4.0 * 60 * 4 / 1e9
