@@ -73,11 +73,11 @@ def _build_parser() -> _Parser:
     add_common(fact)
     fact.add_argument("--p", type=float, required=True)
     fact.add_argument("--method", choices=[m.value for m in Method], default="lowner")
-    fact.add_argument("--contraction", choices=["inv-d", "inv-sqrt-d"], default="inv-d")
 
     base = sub.add_parser("baseline", help="SVD rank-k baseline")
     add_common(base)
     base.add_argument("--p", type=float, default=2.0, help="norm used for the reported error")
+    base.set_defaults(method=Method.SVD.value)
 
     sweep = sub.add_parser("sweep", help="evaluate a (k, p, method) grid")
     sweep.add_argument("--input", required=True)
@@ -92,7 +92,6 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check", help="verify a factorization's invariants")
     check.add_argument("--input", required=True)
     check.add_argument("--p", type=float, required=True)
-    check.add_argument("--contraction", choices=["inv-d", "inv-sqrt-d"], default="inv-d")
     check.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -132,38 +131,29 @@ def _check_p(p: float, flag: str) -> None:
 
 
 def _cmd_factorize(args) -> int:
+    """``factorize``, and ``baseline``, whose parser fixes ``method`` to svd."""
     _check_p(args.p, "--p")
     a = load_matrix(args.input)
     if not 1 <= args.rank <= min(a.shape) - 1:
         raise _UsageError(f"--rank must be in [1, {min(a.shape) - 1}] for a {a.shape[0]}x{a.shape[1]} input")
-    cfg = LownerConfig(contraction=args.contraction)
-    [(approx, report)] = _reports(a, [args.rank], args.p, Method(args.method), args.seed, cfg)
+    [(approx, report)] = _reports(a, [args.rank], args.p, Method(args.method), args.seed)
     _write_outputs(args, approx, report)
     return 0
 
 
-def _cmd_baseline(args) -> int:
-    _check_p(args.p, "--p")
-    a = load_matrix(args.input)
-    if not 1 <= args.rank <= min(a.shape) - 1:
-        raise _UsageError(f"--rank must be in [1, {min(a.shape) - 1}] for a {a.shape[0]}x{a.shape[1]} input")
-    [(approx, report)] = _reports(a, [args.rank], args.p, Method.SVD, args.seed)
-    _write_outputs(args, approx, report)
-    return 0
-
-
-def _reports(a, ks, p, method, seed, cfg=None):
+def _reports(a, ks, p, method, seed):
     """One (p, method) factorization of ``a``, truncated and reported at every k.
 
     Returns one (approximation, report) pair per rank.  The SVD of the
     oriented input and the sandwich check of the factorization do not depend
     on k, so they are computed once and shared by every report.  A report's
     wall time is the factorization time plus that rank's truncation time; for
-    svd reports the shared SVD is the factorization.
+    svd reports the shared SVD is the factorization.  ``seed`` only fills
+    the reports' ``seed`` field: no factorization reads one.
     """
     oriented, transposed = orient(a)
     start = time.perf_counter()
-    fac = factorize(oriented, p, method, seed, cfg)
+    fac = factorize(oriented, p, method)
     base_ms = (time.perf_counter() - start) * 1e3
     svd_fac = fac if method is Method.SVD else l2_svd(oriented)
     # The transposed view, not the contiguous copy: it is the array evaluate()
@@ -246,12 +236,11 @@ def _cmd_check(args) -> int:
     a = load_matrix(args.input)
     if a.shape[0] < a.shape[1]:
         a = a.T
-    cfg = LownerConfig(contraction=args.contraction)
     level = LevelSet(a, args.p)
-    res = lowner(level, args.p, cfg)
+    res = lowner(level, args.p)
     checks = []
 
-    verts = contracted_vertices(res.ellipsoid, cfg.contraction_factor(level.dim))
+    verts = contracted_vertices(res.ellipsoid, LownerConfig.contraction_factor(level.dim))
     checks.append(("contracted vertices inside level set", float(np.max(level.norms(verts))) <= 1.0 + 1e-6))
 
     dirs = philox(args.seed, stream=3).standard_normal((1000, level.dim))
@@ -271,7 +260,7 @@ def _cmd_check(args) -> int:
 _COMMANDS = {
     "synth": _cmd_synth,
     "factorize": _cmd_factorize,
-    "baseline": _cmd_baseline,
+    "baseline": _cmd_factorize,
     "sweep": _cmd_sweep,
     "check": _cmd_check,
 }

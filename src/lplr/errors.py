@@ -14,7 +14,7 @@ class InvalidP(LplrError):
 
 
 class InvalidConfig(LplrError):
-    """A solver setting is outside its allowed range; the message names the field."""
+    """An unknown method name; the message lists the known ones."""
 
 
 class InvalidRank(LplrError):

@@ -27,7 +27,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidConfig, InvalidRank
-from .lowner import LownerConfig
 from .lpsvd import LpSvd, lp_svd, lp_svd_randomized
 from .matcore import as_matrix, frozen, svd
 
@@ -139,33 +138,32 @@ def l2_svd(a) -> LpSvd:
                  iterations={"central": 0, "shallow": 0, "refine": 0})
 
 
-def factorize(oriented: np.ndarray, p: float, method: Method | str, seed: int = 0, cfg: LownerConfig | None = None) -> LpSvd:
-    """The factorization of a tall matrix by ``method``; ``seed`` changes none of them."""
+def factorize(oriented: np.ndarray, p: float, method: Method | str) -> LpSvd:
+    """The factorization of a tall matrix by ``method``; every method is deterministic."""
     method = Method(method)
     if method is Method.SVD:
         return l2_svd(oriented)
     if method is Method.RANDOMIZED:
-        return lp_svd_randomized(oriented, p, seed=seed)
-    return lp_svd(oriented, p, cfg)
+        return lp_svd_randomized(oriented, p)
+    return lp_svd(oriented, p)
 
 
-def low_rank(a, k: int, p: float, method: Method | str, seed: int = 0, cfg: LownerConfig | None = None) -> RankKApprox:
+def low_rank(a, k: int, p: float, method: Method | str) -> RankKApprox:
     """Rank-k approximation of A by the lp paths or the SVD baseline (oriented internally if wide).
 
     ``method`` picks the deterministic Loewner path, the randomized one or the
-    SVD; ``seed`` changes no result, and ``cfg`` only affects the Loewner
-    path.
+    SVD.  None of them has a seed or a setting.
     """
     oriented, transposed = orient(a)
     _check_rank(k, oriented.shape[1])
-    return truncate_factorization(factorize(oriented, p, method, seed, cfg), k, transposed)
+    return truncate_factorization(factorize(oriented, p, method), k, transposed)
 
 
-def lp_low_rank(a, k: int, p: float, method: Method = Method.LOWNER, seed: int = 0, cfg: LownerConfig | None = None) -> RankKApprox:
+def lp_low_rank(a, k: int, p: float, method: Method = Method.LOWNER) -> RankKApprox:
     """Rank-k lp approximation of A: :func:`low_rank` restricted to the lp paths."""
     if Method(method) is Method.SVD:
         raise InvalidRank("use l2_low_rank for the SVD baseline")
-    return low_rank(a, k, p, method, seed, cfg)
+    return low_rank(a, k, p, method)
 
 
 def l2_low_rank(a, k: int) -> RankKApprox:

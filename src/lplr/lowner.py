@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import (
     DimensionTooSmall,
-    InvalidConfig,
     InvalidP,
     NoConvergence,
     NotPositiveDefinite,
@@ -211,30 +210,24 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class LownerConfig:
-    """The one setting of :func:`lowner`: the vertex contraction.
+    """The solver's fixed constants; :func:`lowner` has no settings.
 
-    contraction: "inv-d" tests the vertices of (1/d)(E - c) + c, the factor
-        the shallow-cut loop is stated with; "inv-sqrt-d" is the sharper
-        factor available for centrally symmetric bodies.  Any other value
-        raises :class:`InvalidConfig`.
-
-    The solver's budgets are fixed by d and n and are not settable: the cut
-    stage makes at most min(8 d^2, max(32, 2e8 / (4 n d^2))) cuts, and
-    refinement runs at most 50 + 5 d column-generation rounds with
-    ``_ORACLE_ITERS`` ascent iterations per start, stopping at relative
-    tolerance ``_REFINE_TOL``.  ``slack`` is the fixed relative margin of the
-    reported distortion sqrt(d) (1 + slack).
+    The cut stage and the final check test the vertices of (1/d)(E - c) + c,
+    the factor the shallow-cut loop is stated with (``contraction_factor``).
+    The solver's budgets are fixed by d and n: the cut stage makes at most
+    min(8 d^2, max(32, 2e8 / (4 n d^2))) cuts, and refinement runs at most
+    50 + 5 d column-generation rounds with ``_ORACLE_ITERS`` ascent
+    iterations per start, stopping at relative tolerance ``_REFINE_TOL``.
+    ``slack`` is the fixed relative margin of the reported distortion
+    sqrt(d) (1 + slack).  The class has no fields: passing one is a
+    ``TypeError`` that names it.
     """
 
-    contraction: str = "inv-d"
     slack: ClassVar[float] = 0.1
 
-    def __post_init__(self):
-        if self.contraction not in ("inv-d", "inv-sqrt-d"):
-            raise InvalidConfig(f"contraction must be 'inv-d' or 'inv-sqrt-d', got {self.contraction!r}")
-
-    def contraction_factor(self, d: int) -> float:
-        return 1.0 / d if self.contraction == "inv-d" else 1.0 / math.sqrt(d)
+    @staticmethod
+    def contraction_factor(d: int) -> float:
+        return 1.0 / d
 
 
 @dataclass(frozen=True)
@@ -355,7 +348,7 @@ def contracted_vertices(e: Ellipsoid, factor: float) -> np.ndarray:
     return _vertices(e.center, e.shape, factor)
 
 
-def _cut_phase(level: LevelSet, cfg: LownerConfig):
+def _cut_phase(level: LevelSet):
     """Ellipsoid-method stage: returns (ellipsoid, central, shallow, dets, contacts).
 
     The iterate is recentered at the origin after every cut.  For centrally
@@ -368,7 +361,7 @@ def _cut_phase(level: LevelSet, cfg: LownerConfig):
     and the returned F goes through the validating Ellipsoid constructor.
     """
     n, d = level.a.shape
-    gamma = cfg.contraction_factor(d)
+    gamma = LownerConfig.contraction_factor(d)
     # Each cut costs O(n d^2) for the vertex test; a fixed shallow cut only
     # shrinks ln det(F) by ~1/(2 d^3), so on large instances the flop
     # allowance hands over to the refinement stage early.
@@ -676,9 +669,9 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
     """Loewner ellipsoid of {x : ||Ax||_p <= 1} as a (D, V) pair.
 
     ``a`` may also be a :class:`LevelSet`, used as it is; ``p`` must then
-    equal its p, or :class:`InvalidP` names both.  ``cfg`` sets only the
-    vertex contraction; the solver's budgets are fixed (see
-    :class:`LownerConfig`).  Requires d >= 2 and A of full column rank.  At
+    equal its p, or :class:`InvalidP` names both.  ``cfg`` changes nothing:
+    :class:`LownerConfig` has no settings, and the budgets and the 1/d vertex
+    contraction are fixed.  Requires d >= 2 and A of full column rank.  At
     p = 2 the result is A's SVD in closed form (see the module docstring).
     Otherwise raises NoConvergence when the fixed budgets are exhausted
     before the contracted-vertex test and the refinement tolerance are met;
@@ -692,7 +685,6 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
         level = LevelSet(as_matrix(a, "a"), p)
     if level.dim < 2:
         raise DimensionTooSmall("lowner requires dimension >= 2")
-    cfg = cfg or LownerConfig()
 
     if level.p == 2:
         # D and V come from the SVD itself: recovered from F, D would lose
@@ -703,7 +695,7 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
         central = shallow = fw_steps = 0
         dets = []
     else:
-        e_cut, central, shallow, dets, contacts = _cut_phase(level, cfg)
+        e_cut, central, shallow, dets, contacts = _cut_phase(level)
         try:
             minv, fw_steps = _refine(level, e_cut, contacts)
         except NoConvergence as exc:
@@ -725,9 +717,7 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
         final = Ellipsoid(np.zeros(level.dim), shape)
         dvals, v = _extract_axes(final.shape)
 
-    gamma = cfg.contraction_factor(level.dim)
-    tol = VERTEX_TOL if cfg.contraction == "inv-d" else VERTEX_TOL + 10.0 * _REFINE_TOL
-    verts = contracted_vertices(final, gamma)
+    verts = contracted_vertices(final, LownerConfig.contraction_factor(level.dim))
     result = LownerResult(
         D=dvals,
         V=v,
@@ -737,6 +727,6 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
         iterations_refine=fw_steps,
         logdet_trace=np.asarray(dets),
     )
-    if float(np.max(level.norms(verts))) > 1.0 + tol:
+    if float(np.max(level.norms(verts))) > 1.0 + VERTEX_TOL:
         raise NoConvergence("contracted vertices escape the level set after refinement", best=result)
     return result

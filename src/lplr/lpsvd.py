@@ -29,6 +29,7 @@ _SANDWICH_SAMPLES = 1000  # Gaussian directions of sandwich_check, besides the 2
 _SANDWICH_SEED = 424242
 _LEWIS_TOL = 1e-3  # largest relative change of the row scales s that ends the Lewis fixed point
 _LEWIS_ITERS = 50  # cap on the fixed point's QR factorizations
+_TINY = np.finfo(float).tiny  # smallest normal double
 _LOWER_MARGIN = 1e-9  # relative shrink of R that keeps ||Rx||_2 <= ||Ax||_p through rounding
 
 
@@ -79,24 +80,27 @@ def _finish(a: np.ndarray, dvals: np.ndarray, v: np.ndarray, p: float, distortio
 
 
 def lp_svd(a, p: float, cfg: LownerConfig | None = None) -> LpSvd:
-    """Deterministic ||.||_p-SVD through the Loewner ellipsoid of the level set."""
+    """Deterministic ||.||_p-SVD through the Loewner ellipsoid of the level set.
+
+    ``cfg`` changes nothing: :class:`LownerConfig` has no settings.
+    """
     a = as_matrix(a, "a")
     n, d = a.shape
     if n < d:
         raise ShapeMismatch(f"lp_svd expects rows >= cols, got {n}x{d}; orient the input first")
     if d < 2:
         raise DimensionTooSmall("lp_svd requires at least 2 columns")
-    cfg = cfg or LownerConfig()
-    res = lowner(a, p, cfg)
+    res = lowner(a, p)
     iterations = {
         "central": res.iterations_central,
         "shallow": res.iterations_shallow,
         "refine": res.iterations_refine,
     }
-    distortion = math.sqrt(d) * (1.0 + cfg.slack)
+    distortion = math.sqrt(d) * (1.0 + LownerConfig.slack)
     return _finish(a, res.D, res.V, p, distortion, "lowner", iterations)
 
 
+@np.errstate(divide="ignore")  # at p < 2 a zero tau or w powers to g = inf or s = inf, both handled
 def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     """Lewis-weighted factor of A: (R, lo, hi) with lo ||Rx||_2 <= ||Ax||_p <= hi ||Rx||_2.
 
@@ -107,17 +111,20 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     (at p > 2 the damped w^(1/2) tau^(p/4), since the plain step need not
     settle at p >= 4).  It starts at w = 1, where R is A's own factor and
     carries the rank test, and stops once s changes by at most _LEWIS_TOL
-    relative on the rows with s > 0 (at p = 2, after one QR).  With
-    g_i = tau_i^(p/2 - 1) / s_i^2 over those rows:
+    relative on the rows with s > 0 (at p = 2, after one QR).  A row whose
+    weight underflowed to 0, or whose tau fell below the smallest normal
+    double (its digits are then rounding noise), gets w = 0 and s = 0, so it
+    leaves B.  With g_i = tau_i^(p/2 - 1) / s_i^2 over the rows with s > 0
+    and t = sum_{s_i = 0} tau_i^(p/2):
 
-        p <= 2:  lo = (min g)^(1/p),  hi = (sum w)^(1/p - 1/2) by Holder;
-        p > 2:   lo = (sum w)^(1/p - 1/2) by Holder,
-                 hi = (max g + sum_{s_i = 0} tau_i^(p/2))^(1/p),
+        p <= 2:  lo = (min g)^(1/p),  hi = (sum w)^(1/p - 1/2) + t^(1/p)
+                 by Holder and Minkowski;
+        p > 2:   lo = (sum w)^(1/p - 1/2) by Holder,  hi = (max g + t)^(1/p),
 
-    where a row whose weight underflowed to 0 adds at most
-    tau_i^(p/2) ||Rx||_2^p to ||Ax||_p^p.  R, lo and hi are those of one QR,
-    so both sides hold for the weights used, converged or not; at the fixed
-    point hi / lo is d^|1/p - 1/2|.
+    since a row left out of B adds at most tau_i^(p/2) ||Rx||_2^p to
+    ||Ax||_p^p.  R, lo and hi are those of one QR, so both sides hold for the
+    weights used, converged or not; at the fixed point hi / lo is
+    d^|1/p - 1/2|.
     """
     rows = a[np.any(a != 0.0, axis=1)]
     if rows.shape[0] < a.shape[1]:
@@ -126,6 +133,7 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     w = np.ones(rows.shape[0])
     for it in range(_LEWIS_ITERS):
         s = w**e
+        s[w == 0] = 0.0  # a row of weight 0 is left out of B (at p < 2, s would be inf)
         r = qr(rows * s[:, None])
         if it == 0:
             sv = np.linalg.svd(r, compute_uv=False)  # A's singular values
@@ -136,12 +144,14 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
         pos = s > 0
         g = tau[pos] ** (p / 2.0 - 1.0) / (s[pos] * s[pos])
         wsum = float(w.sum())
+        t = float(np.sum(tau[~pos] ** (p / 2.0)))
         if p <= 2:
-            lo, hi = float(g.min()) ** (1.0 / p), wsum**-e
+            lo, hi = float(g.min()) ** (1.0 / p), wsum**-e + t ** (1.0 / p)
             w = tau ** (p / 2.0)
         else:
-            lo, hi = wsum**-e, float(g.max() + np.sum(tau[~pos] ** (p / 2.0))) ** (1.0 / p)
+            lo, hi = wsum**-e, (float(g.max()) + t) ** (1.0 / p)
             w = np.sqrt(w) * tau ** (p / 4.0)
+        w[tau < _TINY] = 0.0  # a leverage that underflowed is noise; its row leaves B
         if np.max(np.abs(w[pos] ** e / s[pos] - 1.0)) <= _LEWIS_TOL:
             break
     return r, lo, hi
@@ -164,13 +174,13 @@ def randomized_conditioner(a, p: float, seed: int = 0) -> ConditionerResult:
     return ConditionerResult(R=r * (lo * (1.0 - _LOWER_MARGIN)), distortion=hi / lo)
 
 
-def lp_svd_randomized(a, p: float, seed: int = 0) -> LpSvd:
+def lp_svd_randomized(a, p: float) -> LpSvd:
     """Randomized ||.||_p-SVD: (D, V) from the SVD of :func:`randomized_conditioner`'s R.
 
-    Deterministic: the Lewis weights are a fixed point, and ``seed`` changes nothing.
+    Deterministic despite the name: the Lewis weights are a fixed point.
     """
     a = as_matrix(a, "a")
-    cond = randomized_conditioner(a, p, seed=seed)
+    cond = randomized_conditioner(a, p)
     _, dvals, v = svd(cond.R)
     return _finish(a, dvals, v, p, cond.distortion, "randomized", {"central": 0, "shallow": 0, "refine": 0})
 

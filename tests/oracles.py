@@ -139,7 +139,7 @@ def best_projection_residual_sq(a, k, trials, seed):
     return best
 
 
-def reference_cut_loop(level, cfg):
+def reference_cut_loop(level):
     """The shallow-cut stage built from validated Ellipsoid iterates.
 
     Every cut goes through ``shallow_cut`` and is recentered at the origin by
@@ -148,7 +148,7 @@ def reference_cut_loop(level, cfg):
     shallow cuts, ln det trace, contact points).
     """
     n, d = level.a.shape
-    gamma = cfg.contraction_factor(d)
+    gamma = 1.0 / d
     budget = min(200 * d * d, 8 * d * d, max(32, int(2e8 / (4.0 * n * d * d))))
     e = initial_ball(level)
     dets = [float(np.linalg.slogdet(e.shape)[1])]

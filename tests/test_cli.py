@@ -7,7 +7,7 @@ import pytest
 
 from lplr.cli import main
 from lplr.factor import low_rank
-from lplr.lowner import LevelSet, LownerConfig
+from lplr.lowner import LevelSet
 from lplr.matio import load_matrix, store_matrix
 from lplr.report import evaluate, report_from_json, reports_equal_modulo_time
 from lplr.synth import SyntheticSpec, generate_synthetic
@@ -215,7 +215,7 @@ def test_sweep_rows_equal_evaluate(tmp_path, tall_matrix, orientation, workers):
     rows = _sweep_rows(tmp_path, a, workers)
     assert len(rows) == 12
     for row in rows:
-        approx = low_rank(a, row["k"], row["p"], row["method"], seed=5)
+        approx = low_rank(a, row["k"], row["p"], row["method"])
         expected = asdict(evaluate(a, approx, row["p"], seed=5))
         expected.pop("wall_time_ms")
         assert row.pop("wall_time_ms") >= 0.0
@@ -229,7 +229,6 @@ def test_sweep_rows_equal_evaluate(tmp_path, tall_matrix, orientation, workers):
     "argv",
     [
         ["factorize", "--method", "lowner", "--p", "1.5", "--rank", "3"],
-        ["factorize", "--method", "lowner", "--p", "1", "--rank", "2", "--contraction", "inv-sqrt-d"],
         ["factorize", "--method", "randomized", "--p", "1", "--rank", "4"],
         ["factorize", "--method", "svd", "--p", "4", "--rank", "5"],
         ["baseline", "--p", "1", "--rank", "3"],
@@ -252,8 +251,7 @@ def test_single_reports_equal_library(tmp_path, tall_matrix, orientation, argv):
     assert code == 0
     opts = dict(zip(argv[1::2], argv[2::2]))
     p = float(opts["--p"])
-    cfg = LownerConfig(contraction=opts.get("--contraction", "inv-d"))
-    approx = low_rank(a, int(opts["--rank"]), p, opts.get("--method", "svd"), seed=5, cfg=cfg)
+    approx = low_rank(a, int(opts["--rank"]), p, opts.get("--method", "svd"))
     expected = asdict(evaluate(a, approx, p, seed=5))
     expected.pop("wall_time_ms")
     row = json.loads(rep_path.read_text())
@@ -274,6 +272,19 @@ def test_exponent_outside_domain_is_usage_error(tmp_path, synth_file, capsys, co
         argv = ["check", "--input", str(synth_file), "--p", value]
     else:
         argv = [command, "--input", str(synth_file), "--rank", "2", "--p", value, "--report", str(rep_path)]
+    assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not rep_path.exists()
+
+
+@pytest.mark.parametrize("command", ["factorize", "check"])
+def test_contraction_flag_is_gone(tmp_path, synth_file, capsys, command):
+    # The vertex contraction is fixed at 1/d; its former flag, even at the
+    # old default, is an unknown argument.
+    rep_path = tmp_path / "rep.json"
+    argv = [command, "--input", str(synth_file), "--p", "1", "--contraction", "inv-d"]
+    if command == "factorize":
+        argv += ["--rank", "2", "--report", str(rep_path)]
     assert main(argv) == 1
     assert "usage error" in capsys.readouterr().err
     assert not rep_path.exists()

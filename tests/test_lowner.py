@@ -232,17 +232,15 @@ class TestCutPhase:
     # Planted inputs run the loop to its cut budget; Gaussian ones mostly stop
     # early, at the vertex test or at the margin test.
     @pytest.mark.parametrize("kind", ["planted", "gaussian"])
-    @pytest.mark.parametrize("contraction", ["inv-d", "inv-sqrt-d"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
     @pytest.mark.parametrize("n_rows", ["3d", "200"])
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
-    def test_matches_validated_reference_bit_for_bit(self, d, n_rows, p, contraction, kind):
+    def test_matches_validated_reference_bit_for_bit(self, d, n_rows, p, kind):
         n = 3 * d if n_rows == "3d" else 200
         a = planted(n, d, 100 * d + n) if kind == "planted" else np.random.default_rng(100 * d + n).normal(size=(n, d))
         level = LevelSet(a, p)
-        cfg = LownerConfig(contraction=contraction)
-        e, central, shallow, dets, contacts = lowner_module._cut_phase(level, cfg)
-        ref_e, ref_cuts, ref_dets, ref_contacts = reference_cut_loop(level, cfg)
+        e, central, shallow, dets, contacts = lowner_module._cut_phase(level)
+        ref_e, ref_cuts, ref_dets, ref_contacts = reference_cut_loop(level)
         assert central == 0
         assert shallow == ref_cuts
         assert e.shape.tobytes() == ref_e.shape.tobytes()
@@ -324,9 +322,9 @@ class TestAscend:
 
 
 class TestLownerConfig:
-    # A bogus contraction would otherwise fail late, as a ValueError.  The
-    # solver budgets are module constants, not fields: passing one, at any
-    # value, is a TypeError that names it.
+    # The config has no fields: the vertex contraction is fixed at 1/d and the
+    # solver budgets are module constants.  Passing any of them, at any value,
+    # is a TypeError that names it.
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -344,12 +342,10 @@ class TestLownerConfig:
         ],
     )
     def test_rejects_field_out_of_range(self, field, value):
-        with pytest.raises(InvalidConfig if field == "contraction" else TypeError, match=field):
+        with pytest.raises(TypeError, match=field):
             LownerConfig(**{field: value})
 
     def test_accepts_bounds_and_defaults(self):
-        cfg = LownerConfig(contraction="inv-sqrt-d")
-        assert cfg.contraction_factor(4) == 0.5
         assert issubclass(InvalidConfig, LplrError)
         assert LownerConfig().contraction_factor(4) == 0.25
         assert LownerConfig().slack == 0.1
@@ -491,12 +487,3 @@ class TestLowner:
         with pytest.raises(NoConvergence) as err:
             lowner(a, 1.0)
         assert isinstance(err.value.best, LownerResult)
-
-    def test_sharper_contraction_option(self):
-        rng = np.random.default_rng(31)
-        a = rng.normal(size=(40, 4))
-        cfg = LownerConfig(contraction="inv-sqrt-d")
-        res = lowner(a, 1.0, cfg)
-        level = LevelSet(a, 1.0)
-        verts = contracted_vertices(res.ellipsoid, 0.5)
-        assert np.max(level.norms(verts)) <= 1.0 + VERTEX_TOL + 10 * lowner_module._REFINE_TOL

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from lplr import SyntheticSpec, generate_synthetic
+
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "perfbench" / "layertrace.py"
 
@@ -61,3 +63,19 @@ def test_ascend_arguments_are_what_the_trace_reads():
     point_iters = 36 * 120
     assert tracer.counters["lowner.ascend.point_iters"] == point_iters
     assert tracer.counters["lowner.ascend.gflop"] == point_iters * 4.0 * 60 * 4 / 1e9
+
+
+def test_cut_phase_result_is_what_the_trace_reads():
+    # layertrace counts lowner.cut_phase.cuts as out[1] + out[2] of
+    # _cut_phase's (ellipsoid, central, shallow, dets, contacts) result.
+    lowner = importlib.import_module("lplr.lowner")
+    a = generate_synthetic(SyntheticSpec(n=60, d=4, k_true=1, outlier_fraction=0.05, noise_sigma=0.01,
+                                         outlier_scale=20.0, seed=7))
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        out = lowner._cut_phase(lowner.LevelSet(a, 1.0))
+    finally:
+        tracer.uninstall()
+    assert len(out) == 5 and out[1] == 0 and out[2] > 0
+    assert tracer.counters["lowner.cut_phase.cuts"] == out[2]
