@@ -228,16 +228,28 @@ def planted(n, d, seed):
                                             noise_sigma=0.01, outlier_scale=20.0, seed=seed))
 
 
+def cut_phase_input(kind, n, d):
+    seed = 100 * d + n
+    if kind == "planted":
+        return planted(n, d, seed)
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.normal(size=(n, d))
+    # Student-t rows with 2 degrees of freedom: a few rows dominate each norm.
+    return rng.standard_t(2.0, size=(n, d))
+
+
 class TestCutPhase:
     # Planted inputs run the loop to its cut budget; Gaussian ones mostly stop
-    # early, at the vertex test or at the margin test.
-    @pytest.mark.parametrize("kind", ["planted", "gaussian"])
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    # early, at the vertex test or at the margin test.  p = 3 takes the general
+    # power of the norm above 2, where p = 4 has its own cubed branch.
+    @pytest.mark.parametrize("kind", ["planted", "gaussian", "heavy-tailed"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("n_rows", ["3d", "200"])
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
     def test_matches_validated_reference_bit_for_bit(self, d, n_rows, p, kind):
         n = 3 * d if n_rows == "3d" else 200
-        a = planted(n, d, 100 * d + n) if kind == "planted" else np.random.default_rng(100 * d + n).normal(size=(n, d))
+        a = cut_phase_input(kind, n, d)
         level = LevelSet(a, p)
         e, central, shallow, dets, contacts = lowner_module._cut_phase(level)
         ref_e, ref_cuts, ref_dets, ref_contacts = reference_cut_loop(level)
