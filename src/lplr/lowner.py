@@ -56,11 +56,11 @@ from .errors import (
 from .matcore import as_matrix, as_vector, check_p, cholesky, frozen, svd, vector_pnorm
 from .rng import philox
 
-#: Directions per block in :func:`pnorms`.  The remainder joins the last block:
-#: with OpenBLAS 0.3.31 at one thread, blocks of 256 plus a tail of at least 256
-#: reproduced the single product bit for bit on every C-ordered shape tried,
-#: while a narrow tail block often changed the last bit (the GEMM kernel depends
-#: on the block's shape).
+#: Directions per block of every batched norm pass (:func:`_direction_blocks`).
+#: The remainder joins the last block: with OpenBLAS 0.3.31 at one thread,
+#: blocks of 256 plus a tail of at least 256 reproduced the single product bit
+#: for bit on every shape tried, C- or F-ordered, while a narrow tail block
+#: often changed the last bit (the GEMM kernel depends on the block's shape).
 DIRECTION_BLOCK = 256
 
 #: Rows of A per chunk of :func:`_norm_pass`, which bounds its temporaries to
@@ -78,13 +78,21 @@ _REFINE_TOL = 5e-3  # refinement stops once no boundary point's quadratic form e
 _ORACLE_ITERS = 60  # ascent iterations per refinement oracle start (twice that in certification)
 
 
+def _direction_blocks(count: int) -> list[slice]:
+    """Slices of ``DIRECTION_BLOCK`` directions covering ``count``; the remainder joins the last one."""
+    cuts = [i * DIRECTION_BLOCK for i in range(max(1, count // DIRECTION_BLOCK))] + [count]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _norm_pass(a: np.ndarray, p: float, points: np.ndarray, grad: bool = False, work: np.ndarray | None = None):
     """(||A x||_p, gradient columns or None) for each row x of ``points``, in row chunks of A.
 
     Each chunk of ``_ROW_CHUNK`` rows adds its share of sum |Ax|^p and, with
     ``grad``, of A^T (sign(Ax) |Ax|^(p-1)); the 1/p root and the division of the
     gradient by ||Ax||_p^(p-1) come after the last chunk.  Column i of the
-    gradient is the gradient of x -> ||Ax||_p at row i of ``points``.
+    gradient is the gradient of x -> ||Ax||_p at row i of ``points``.  Callers
+    pass one block of :func:`_direction_blocks` at a time, so the chunk
+    temporaries are at most ``_ROW_CHUNK`` x 511.
 
     At p outside {1, 2} each entry y of A x is raised to a power once: the
     signed weight w = sign(y) |y|^(p-1) gives sum |y|^p as the row sum of w y
@@ -136,15 +144,12 @@ def _norm_pass(a: np.ndarray, p: float, points: np.ndarray, grad: bool = False, 
 def pnorms(a: np.ndarray, p: float, points: np.ndarray) -> np.ndarray:
     """||A x||_p for each row x of ``points``.
 
-    Many directions go in blocks of ``DIRECTION_BLOCK``, and each block streams
-    A through :func:`_norm_pass` in row chunks, so no temporary grows with n.
+    The directions go through :func:`_norm_pass` one block of
+    :func:`_direction_blocks` at a time, and each block streams A in row
+    chunks, so no temporary grows with n or with the number of directions.
     """
     points = np.atleast_2d(points)
-    count = points.shape[0]
-    if count >= 2 * DIRECTION_BLOCK:
-        cuts = list(range(0, count - DIRECTION_BLOCK + 1, DIRECTION_BLOCK)) + [count]
-        return np.concatenate([pnorms(a, p, points[i:j]) for i, j in zip(cuts, cuts[1:])])
-    return _norm_pass(a, p, points)[0]
+    return np.concatenate([_norm_pass(a, p, points[b])[0] for b in _direction_blocks(points.shape[0])])
 
 
 @dataclass(frozen=True)
@@ -291,44 +296,25 @@ def subgradient(level: LevelSet, x) -> np.ndarray:
     return (norm ** (1.0 - level.p)) * (level.a.T @ weights)
 
 
-def _cut_vector(f: np.ndarray, h: np.ndarray) -> np.ndarray:
-    fh = f @ h
-    hfh = float(h @ fh)
-    if hfh <= 0.0:
-        raise NotPositiveDefinite("H^T F H <= 0; shape matrix lost definiteness")
-    return fh / math.sqrt(hfh)
+def _shallow_update(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Shallow cut of the shape matrix F along h; returns F', unvalidated.
 
-
-def _shallow_update(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shallow cut of the shape matrix F along h: returns (F', b), unvalidated.
-
-    F' = zeta sigma (F - tau b b^T) with b = F h / sqrt(h^T F h), and the
-    center moves by -z b (coefficients as in :func:`shallow_cut`).  Requires
-    d >= 2.
+    The cut removes the slab beyond margin 1/(d+1) of the support:
+    F' = zeta sigma (F - tau b b^T) with b = F h / sqrt(h^T F h),
+    sigma = d^3(d+2)/((d+1)^3(d-1)), zeta = 1 + 1/(2 d^2 (d+1)^2) and
+    tau = 2/(d(d+1)); the center would move by -b/(d+1)^2, but the cut stage
+    recenters at the origin.  Requires d >= 2.
     """
     d = f.shape[0]
     sigma = d**3 * (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0))
     zeta = 1.0 + 1.0 / (2.0 * d * d * (d + 1.0) ** 2)
     tau = 2.0 / (d * (d + 1.0))
-    b = _cut_vector(f, h)
-    return zeta * sigma * (f - tau * np.outer(b, b)), b
-
-
-def shallow_cut(e: Ellipsoid, h) -> Ellipsoid:
-    """Shallow-cut update: removes a slab beyond margin 1/(d+1) of the support.
-
-    Uses the fixed coefficients z = 1/(d+1)^2, sigma = d^3(d+2)/((d+1)^3(d-1)),
-    zeta = 1 + 1/(2 d^2 (d+1)^2), tau = 2/(d(d+1)).  Undefined for d = 1.
-    """
-    h = as_vector(h, e.dim, "h")
-    if not np.any(h):
-        raise ShapeMismatch("cut direction must be nonzero")
-    d = e.dim
-    if d < 2:
-        raise DimensionTooSmall("shallow cuts require dimension >= 2")
-    z = 1.0 / (d + 1.0) ** 2
-    shape, b = _shallow_update(e.shape, h)
-    return Ellipsoid(e.center - z * b, shape)
+    fh = f @ h
+    hfh = float(h @ fh)
+    if hfh <= 0.0:
+        raise NotPositiveDefinite("H^T F H <= 0; shape matrix lost definiteness")
+    b = fh / math.sqrt(hfh)
+    return zeta * sigma * (f - tau * np.outer(b, b))
 
 
 def _vertices(center: np.ndarray, f: np.ndarray, factor: float) -> np.ndarray:
@@ -385,7 +371,7 @@ def _cut_phase(level: LevelSet):
             # The fixed shallow cut would clip the supporting slab |g.x| <= 1,
             # which is tight on L; stop cutting and let refinement take over.
             break
-        f, _ = _shallow_update(f, g / np.max(np.abs(g)))
+        f = _shallow_update(f, g / np.max(np.abs(g)))
         f = 0.5 * (f + f.T)
         sign, logdet = np.linalg.slogdet(f)
         if sign <= 0 or not np.isfinite(logdet):
@@ -535,25 +521,42 @@ def _ascend(level: LevelSet, minv: np.ndarray, starts: np.ndarray, iters: int):
     boundary points) for the best iterate of every start.  The objective is
     scale-invariant, so iterates live on the unit sphere and are mapped to the
     boundary only on output, by the norm the iterate was scored with.  Each
-    iteration is one :func:`_norm_pass` over A; all ``iters`` iterates are
-    scored, and the last one is scored without a gradient and not moved, since
-    no result reads a further step.
+    iteration is one :func:`_norm_pass` over A per block of
+    :func:`_direction_blocks`, written into full-width norm and gradient
+    arrays through one shared work buffer, so no temporary exceeds
+    ``_ROW_CHUNK`` x 511 however many starts come in.  The rest of a step runs
+    full width: numpy picks the memory layout of the moved iterates from the
+    array's width and their row norms round by it, so an ascent per block
+    would change last bits.  All ``iters`` iterates are scored, and the last
+    one is scored without a gradient and not moved, since no result reads a
+    further step.
     """
     u = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    best_val = np.full(u.shape[0], -np.inf)
+    count = u.shape[0]
+    blocks = _direction_blocks(count)
+    best_val = np.full(count, -np.inf)
     best_u = u.copy()
-    work = np.empty((2, min(level.a.shape[0], _ROW_CHUNK), u.shape[0]))
+    z = np.empty(count)
+    gcols = np.empty((level.dim, count))
+    # One buffer as wide as the widest (last) block, viewed as contiguous (2, rows, width) arrays.
+    rows = min(level.a.shape[0], _ROW_CHUNK)
+    flat = np.empty(2 * rows * (blocks[-1].stop - blocks[-1].start))
+    works = [flat[: 2 * rows * (b.stop - b.start)].reshape(2, rows, b.stop - b.start) for b in blocks]
     step = 0.25
     for it in range(iters):
         last = it == iters - 1
-        z, gcols = _norm_pass(level.a, level.p, u, grad=not last, work=work)
+        for b, work in zip(blocks, works):
+            z[b], g = _norm_pass(level.a, level.p, u[b], grad=not last, work=work)
+            if not last:
+                gcols[:, b] = g
         qu = (minv @ u.T).T
         j = np.einsum("ij,ij->i", u, qu) / (z * z)
         improved = j > best_val
         best_val[improved] = j[improved]
         best_u[improved] = u[improved]
-        # best_u starts as the first iterate, so a start that never improves keeps its z.
-        best_z = np.where(improved, z, best_z) if it else z
+        # best_u starts as the first iterate, so a start that never improves
+        # keeps its z; z is overwritten each iteration, so keep a copy.
+        best_z = np.where(improved, z, best_z) if it else z.copy()
         if last:
             break
         grad = qu - (j * z)[:, None] * gcols.T

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooSmall, RankDeficient, ShapeMismatch, SvdFailure
+from .errors import DimensionTooSmall, NoConvergence, RankDeficient, ShapeMismatch, SvdFailure
 from .lowner import LownerConfig, lowner, pnorms
 from .matcore import as_matrix, check_p, frozen, qr, svd
 from .rng import philox
@@ -100,7 +100,9 @@ def lp_svd(a, p: float, cfg: LownerConfig | None = None) -> LpSvd:
     return _finish(a, res.D, res.V, p, distortion, "lowner", iterations)
 
 
-@np.errstate(divide="ignore")  # at p < 2 a zero tau or w powers to g = inf or s = inf, both handled
+# At p < 2 a zero tau or w powers to g = inf or s = inf, and at large p the
+# powers of tau can overflow; the loop handles both.
+@np.errstate(divide="ignore", over="ignore")
 def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     """Lewis-weighted factor of A: (R, lo, hi) with lo ||Rx||_2 <= ||Ax||_p <= hi ||Rx||_2.
 
@@ -108,14 +110,18 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     the sandwich), each step factors B = S A with S = diag(s), s = w^(1/2 - 1/p),
     into R alone, reads tau_i = ||a_i R^-1||^2 = a_i^T (B^T B)^-1 a_i from A's
     own rows, so that |a_i x| <= sqrt(tau_i) ||Rx||_2, and moves to w = tau^(p/2)
-    (at p > 2 the damped w^(1/2) tau^(p/4), since the plain step need not
-    settle at p >= 4).  It starts at w = 1, where R is A's own factor and
-    carries the rank test, and stops once s changes by at most _LEWIS_TOL
-    relative on the rows with s > 0 (at p = 2, after one QR).  A row whose
-    weight underflowed to 0, or whose tau fell below the smallest normal
-    double (its digits are then rounding noise), gets w = 0 and s = 0, so it
-    leaves B.  With g_i = tau_i^(p/2 - 1) / s_i^2 over the rows with s > 0
-    and t = sum_{s_i = 0} tau_i^(p/2):
+    at p <= 2.  At p > 2 the step is damped, w = w^(1 - alpha) tau^(alpha p/2)
+    with alpha = min(1/2, 4/(p + 2)): in ln w its eigenvalues lie in
+    [1 - alpha p/2, 1 - alpha], so it contracts at every p, where the plain
+    step need not settle at p >= 4 and alpha = 1/2 does not at p >= 8.
+    At p <= 6 that is w^(1/2) tau^(p/4).  It starts at w = 1, where R is A's
+    own factor and carries the rank test, and stops once s changes by at
+    most _LEWIS_TOL relative on the rows with s > 0 (at p = 2, after one QR),
+    or after _LEWIS_ITERS steps.  A row whose weight underflowed to 0, or
+    whose tau fell below the smallest normal double (its digits are then
+    rounding noise), gets w = 0 and s = 0, so it leaves B.  With
+    g_i = tau_i^(p/2 - 1) / s_i^2 over the rows with s > 0 and
+    t = sum_{s_i = 0} tau_i^(p/2):
 
         p <= 2:  lo = (min g)^(1/p),  hi = (sum w)^(1/p - 1/2) + t^(1/p)
                  by Holder and Minkowski;
@@ -124,37 +130,55 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     since a row left out of B adds at most tau_i^(p/2) ||Rx||_2^p to
     ||Ax||_p^p.  R, lo and hi are those of one QR, so both sides hold for the
     weights used, converged or not; at the fixed point hi / lo is
-    d^|1/p - 1/2|.
+    d^|1/p - 1/2|.  A result that the cap ended (from p = 32 on, planted and
+    Gaussian inputs ran all 50 steps) is proved but looser.  A step whose
+    weights turn non-finite or whose B loses rank ends the loop.  The last
+    step whose leverage constant (min g, or max g + t) is a finite normal
+    number stands; if there is none, NoConvergence names the cause.
     """
     rows = a[np.any(a != 0.0, axis=1)]
     if rows.shape[0] < a.shape[1]:
         raise RankDeficient("conditioner requires a matrix of full column rank")
     e = 0.5 - 1.0 / p
+    alpha = min(0.5, 4.0 / (p + 2.0))
     w = np.ones(rows.shape[0])
+    good = None
     for it in range(_LEWIS_ITERS):
         s = w**e
         s[w == 0] = 0.0  # a row of weight 0 is left out of B (at p < 2, s would be inf)
-        r = qr(rows * s[:, None])
+        try:
+            r = qr(rows * s[:, None])
+            rinv = np.linalg.inv(r)
+        except (RankDeficient, np.linalg.LinAlgError):
+            if it == 0:
+                raise RankDeficient("conditioner requires a matrix of full column rank") from None
+            break  # these weights made B singular; the last step's constants stand
         if it == 0:
             sv = np.linalg.svd(r, compute_uv=False)  # A's singular values
             if sv[-1] <= 1e-10 * sv[0]:
                 raise RankDeficient("conditioner requires a matrix of full column rank")
-        u = rows @ np.linalg.inv(r)
+        u = rows @ rinv
         tau = np.einsum("ij,ij->i", u, u)
         pos = s > 0
         g = tau[pos] ** (p / 2.0 - 1.0) / (s[pos] * s[pos])
         wsum = float(w.sum())
         t = float(np.sum(tau[~pos] ** (p / 2.0)))
         if p <= 2:
-            lo, hi = float(g.min()) ** (1.0 / p), wsum**-e + t ** (1.0 / p)
+            gk = float(g.min())
+            lo, hi = gk ** (1.0 / p), wsum**-e + t ** (1.0 / p)
             w = tau ** (p / 2.0)
         else:
-            lo, hi = wsum**-e, (float(g.max()) + t) ** (1.0 / p)
-            w = np.sqrt(w) * tau ** (p / 4.0)
+            gk = float(g.max()) + t
+            lo, hi = wsum**-e, gk ** (1.0 / p)
+            w = w ** (1.0 - alpha) * tau ** (alpha * p / 2.0)
+        if _TINY <= gk < np.inf and hi < np.inf:  # a subnormal gk has lost its digits
+            good = r, lo, hi
         w[tau < _TINY] = 0.0  # a leverage that underflowed is noise; its row leaves B
-        if np.max(np.abs(w[pos] ** e / s[pos] - 1.0)) <= _LEWIS_TOL:
+        if not np.all(np.isfinite(w)) or np.max(np.abs(w[pos] ** e / s[pos] - 1.0)) <= _LEWIS_TOL:
             break
-    return r, lo, hi
+    if good is None:
+        raise NoConvergence(f"Lewis fixed point at p = {p}: every step's leverage constant overflowed or underflowed")
+    return good
 
 
 def randomized_conditioner(a, p: float, seed: int = 0) -> ConditionerResult:

@@ -8,8 +8,9 @@ plain Khachiyan iteration on an explicit point set, and the smallest
 sandwich ratio of a conditioner from a projected descent in the input's own
 orthonormal basis.  ``reference_cut_loop``
 is the cut stage composed only of the public, validating ellipsoid
-primitives, against which the raw-array loop in ``lplr.lowner`` is compared
-bit for bit.  ``reference_ascend`` is the untrimmed ascent oracle, which
+primitives and of ``shallow_cut``, the textbook shallow-cut update written
+out here on its own, against which the raw-array loop in ``lplr.lowner`` is
+compared bit for bit.  ``reference_ascend`` is the untrimmed ascent oracle, which
 computes every gradient and moves every iterate, against which
 ``lplr.lowner._ascend`` is compared bit for bit.
 """
@@ -20,7 +21,8 @@ import math
 
 import numpy as np
 
-from lplr.lowner import VERTEX_TOL, Ellipsoid, contracted_vertices, initial_ball, shallow_cut, subgradient
+from lplr.errors import DimensionTooSmall, NotPositiveDefinite, ShapeMismatch
+from lplr.lowner import VERTEX_TOL, Ellipsoid, contracted_vertices, initial_ball, subgradient
 
 
 def pnorm_pow_loops(a, p):
@@ -137,6 +139,34 @@ def best_projection_residual_sq(a, k, trials, seed):
         resid = a - (a @ q) @ q.T
         best = min(best, float(np.sum(resid * resid)))
     return best
+
+
+def shallow_cut(e, h):
+    """Shallow-cut update of the Ellipsoid e: removes a slab beyond margin 1/(d+1) of the support.
+
+    Uses the fixed coefficients z = 1/(d+1)^2, sigma = d^3(d+2)/((d+1)^3(d-1)),
+    zeta = 1 + 1/(2 d^2 (d+1)^2), tau = 2/(d(d+1)): with b = F h / sqrt(h^T F h)
+    the center moves by -z b and F becomes zeta sigma (F - tau b b^T).
+    Undefined for d = 1.
+    """
+    h = np.asarray(h, dtype=float).reshape(-1)
+    if h.shape[0] != e.dim:
+        raise ShapeMismatch(f"h must have length {e.dim}, got {h.shape[0]}")
+    if not np.any(h):
+        raise ShapeMismatch("cut direction must be nonzero")
+    d = e.dim
+    if d < 2:
+        raise DimensionTooSmall("shallow cuts require dimension >= 2")
+    z = 1.0 / (d + 1.0) ** 2
+    sigma = d**3 * (d + 2.0) / ((d + 1.0) ** 3 * (d - 1.0))
+    zeta = 1.0 + 1.0 / (2.0 * d * d * (d + 1.0) ** 2)
+    tau = 2.0 / (d * (d + 1.0))
+    fh = e.shape @ h
+    hfh = float(h @ fh)
+    if hfh <= 0.0:
+        raise NotPositiveDefinite("H^T F H <= 0")
+    b = fh / math.sqrt(hfh)
+    return Ellipsoid(e.center - z * b, zeta * sigma * (e.shape - tau * np.outer(b, b)))
 
 
 def reference_cut_loop(level):

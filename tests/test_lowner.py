@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,12 +26,11 @@ from lplr.lowner import (
     contracted_vertices,
     initial_ball,
     lowner,
-    shallow_cut,
     subgradient,
 )
 from lplr.matcore import entrywise_pnorm_pow
 
-from oracles import central_diff_grad, mvee_axis_reciprocals, reference_ascend, reference_cut_loop
+from oracles import central_diff_grad, mvee_axis_reciprocals, reference_ascend, reference_cut_loop, shallow_cut
 
 # The package attribute ``lplr.lowner`` is the function, not the module.
 lowner_module = importlib.import_module("lplr.lowner")
@@ -276,7 +276,7 @@ class TestCutPhase:
         calls = []
 
         def corrupted(f, h):
-            shape, b = real(f, h)
+            shape = real(f, h)
             calls.append(1)
             if len(calls) == cut:
                 vals, vecs = np.linalg.eigh(shape)
@@ -287,7 +287,7 @@ class TestCutPhase:
                 else:
                     vals = np.full_like(vals, np.nan)
                 shape = (vecs * vals) @ vecs.T
-            return shape, b
+            return shape
 
         monkeypatch.setattr(lowner_module, "_shallow_update", corrupted)
         with pytest.raises(NotPositiveDefinite, match=check):
@@ -331,6 +331,39 @@ class TestAscend:
         # only the row's absolute accuracy.
         row_err = np.linalg.norm(pts - ref_pts, axis=1) / np.linalg.norm(ref_pts, axis=1)
         assert row_err.max() <= 1e-12
+
+    # Certification's 4,096 starts go through the norm pass in 16 blocks of
+    # DIRECTION_BLOCK; 2000 rows are one chunk, so the result must still be
+    # the one-product result bit for bit, whichever order the starts are in.
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("iters", [1, 2, 4])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+    def test_direction_blocks_match_reference_bit_for_bit(self, p, iters, order):
+        a = planted(2000, 16, 5)
+        level = LevelSet(a, p)
+        rng = np.random.default_rng(iters)
+        minv = random_pd(rng, 16, spread=2.0)
+        x = np.asarray(rng.standard_normal((4096, 16)), order=order)
+        vals, pts = lowner_module._ascend(level, minv, x, iters)
+        ref_vals, ref_pts = reference_ascend(level, minv, x, iters)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert pts.tobytes() == ref_pts.tobytes()
+
+
+class TestCertifiedShape:
+    def test_peak_memory_is_one_direction_block(self):
+        # The 4,096-start certification ascent holds one 2 x 2000 x 256 work
+        # buffer (8 MB); in one full-width pass it held 2 x 2000 x 4096 (131 MB).
+        a = planted(2000, 16, 5)
+        level = LevelSet(a, 1.0)
+        minv = np.linalg.inv(a.T @ a)
+        tracemalloc.start()
+        try:
+            lowner_module._certified_shape(level, minv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 class TestLownerConfig:

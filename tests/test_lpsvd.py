@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lplr import SyntheticSpec, generate_synthetic, lpsvd
-from lplr.errors import RankDeficient, ShapeMismatch
+from lplr.errors import NoConvergence, RankDeficient, ShapeMismatch
 from lplr.lowner import DIRECTION_BLOCK, LevelSet, LownerConfig
 from lplr.lpsvd import lp_svd, lp_svd_randomized, randomized_conditioner, sandwich_check
 from lplr.matcore import qr
@@ -267,6 +267,94 @@ class TestLewisConditionerAboveP2:
     def test_seed_does_not_change_r(self, p):
         a = planted(2000, 16, 5)
         assert randomized_conditioner(a, p, seed=0).R.tobytes() == randomized_conditioner(a, p, seed=7).R.tobytes()
+
+
+def large_p_input(name):
+    if name == "gaussian 400x8":
+        return np.random.default_rng(1).standard_normal((400, 8))
+    return planted(400, 8, 7) if name == "planted 400x8" else planted(2000, 16, 5)
+
+
+class TestLewisConditionerAtLargeP:
+    """From p = 8 on the fixed point's step is damped by alpha = 4/(p + 2); alpha = 1/2 failed from p = 10 on."""
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("p", [8.0, 10.0, 12.0, 20.0, 64.0])
+    @pytest.mark.parametrize("name", ["planted 400x8", "gaussian 400x8", "planted 2000x16"])
+    def test_both_sides_hold_at_the_lewis_constant(self, name, p, scale):
+        # At p = 64 the 50-step cap ends the loop; the constant is still near.
+        a = large_p_input(name) * scale
+        cond = randomized_conditioner(a, p)
+        assert cond.distortion == pytest.approx(a.shape[1] ** (0.5 - 1.0 / p), rel=1e-3)
+        ratio, _ = whitened_lower_ratio(a, p, cond.R, starts=64, iters=200, seed=11)
+        assert ratio >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("name", ["planted 400x8", "gaussian 400x8", "planted 2000x16"])
+    def test_underflowed_constants_are_not_used(self, name):
+        # At p = 1000, g_i = tau_i^499 / s_i^2 underflows on some steps, and
+        # a constant read from a subnormal or zero max g (hi = 0 gave a
+        # distortion of 0) would break the upper side.  Such a step is never
+        # the result: either both sides hold on sampled directions or
+        # NoConvergence names the cause.
+        a = large_p_input(name)
+        try:
+            cond = randomized_conditioner(a, 1000.0)
+        except NoConvergence:
+            return
+        x = np.random.default_rng(0).standard_normal((2000, a.shape[1]))
+        y = np.abs(a @ x.T)
+        top = y.max(axis=0)
+        ratios = top * ((y / top) ** 1000.0).sum(axis=0) ** 1e-3 / np.linalg.norm(x @ cond.R.T, axis=1)
+        assert 1.0 - 1e-9 <= ratios.min() and ratios.max() <= cond.distortion
+
+    @pytest.mark.parametrize("failure", ["rank", "singular", "overflow"])
+    @pytest.mark.parametrize("p", [1.0, 4.0, 12.0])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_a_failed_step_keeps_the_last_good_one(self, monkeypatch, p, failure):
+        # A step whose B loses rank, whose R does not invert, or whose
+        # leverages overflow ends the loop with the step before it: the same
+        # R and distortion as a cap of two steps.
+        a = planted(400, 8, 7)
+        monkeypatch.setattr(lpsvd, "_LEWIS_ITERS", 2)
+        capped = randomized_conditioner(a, p)
+        monkeypatch.undo()
+        inject_step_failure(monkeypatch, failure, 3)
+        cond = randomized_conditioner(a, p)
+        assert cond.R.tobytes() == capped.R.tobytes()
+        assert cond.distortion == capped.distortion
+
+    @pytest.mark.parametrize("failure,error", [("rank", RankDeficient), ("singular", RankDeficient),
+                                               ("overflow", NoConvergence)])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_a_failed_first_step_raises_a_typed_error(self, monkeypatch, failure, error):
+        inject_step_failure(monkeypatch, failure, 1)
+        with pytest.raises(error):
+            randomized_conditioner(planted(400, 8, 7), 12.0)
+
+
+def inject_step_failure(monkeypatch, failure, step):
+    """Make step ``step`` of the Lewis fixed point fail in its QR, its inverse, or its leverages."""
+    calls = []
+    real_inv = np.linalg.inv
+
+    def failing_qr(m):
+        calls.append(1)
+        if len(calls) == step:
+            raise RankDeficient("matrix is (numerically) rank deficient")
+        return qr(m)
+
+    def failing_inv(m):
+        calls.append(1)
+        if len(calls) == step:
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(m.shape, np.inf)
+        return real_inv(m)
+
+    if failure == "rank":
+        monkeypatch.setattr(lpsvd, "qr", failing_qr)
+    else:
+        monkeypatch.setattr(np.linalg, "inv", failing_inv)
 
 
 class TestConditionerEdgeInputs:

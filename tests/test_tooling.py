@@ -65,6 +65,24 @@ def test_ascend_arguments_are_what_the_trace_reads():
     assert tracer.counters["lowner.ascend.gflop"] == point_iters * 4.0 * 60 * 4 / 1e9
 
 
+def test_blocked_ascend_is_one_traced_call():
+    # _ascend runs certification's 4,096 starts through its norm pass in
+    # direction blocks, but as one call: lowner.ascend.calls and point_iters
+    # count the call, not the blocks.
+    lowner = importlib.import_module("lplr.lowner")
+    a = np.random.default_rng(3).normal(size=(60, 4))
+    level = lowner.LevelSet(a, 1.5)
+    starts = np.random.default_rng(2).standard_normal((4096, 4))
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        lowner._ascend(level, a.T @ a, starts, 4)
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["lowner.ascend"]["calls"] == 1
+    assert tracer.counters["lowner.ascend.point_iters"] == 4096 * 4
+
+
 def test_cut_phase_result_is_what_the_trace_reads():
     # layertrace counts lowner.cut_phase.cuts as out[1] + out[2] of
     # _cut_phase's (ellipsoid, central, shallow, dets, contacts) result.
