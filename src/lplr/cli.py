@@ -148,14 +148,15 @@ def _reports(a, ks, p, method, seed):
     oriented input and the sandwich check of the factorization do not depend
     on k, so they are computed once and shared by every report.  A report's
     wall time is the factorization time plus that rank's truncation time; for
-    svd reports the shared SVD is the factorization.  ``seed`` only fills
-    the reports' ``seed`` field: no factorization reads one.
+    svd reports the shared SVD is the factorization, and each rank's
+    approximation is its own baseline.  ``seed`` only fills the reports'
+    ``seed`` field: no factorization reads one.
     """
     oriented, transposed = orient(a)
     start = time.perf_counter()
     fac = factorize(oriented, p, method)
     base_ms = (time.perf_counter() - start) * 1e3
-    svd_fac = fac if method is Method.SVD else l2_svd(oriented)
+    svd_fac = None if method is Method.SVD else l2_svd(oriented)
     # The transposed view, not the contiguous copy: it is the array evaluate()
     # reads, and the two can round differently in the sandwich products.
     sandwich = sandwich_check(a.T if transposed else a, p, fac.D, fac.V)
@@ -164,7 +165,7 @@ def _reports(a, ks, p, method, seed):
         t0 = time.perf_counter()
         approx = truncate_factorization(fac, k, transposed)
         wall_ms = base_ms + (time.perf_counter() - t0) * 1e3
-        baseline = truncate_factorization(svd_fac, k, transposed)
+        baseline = approx if svd_fac is None else truncate_factorization(svd_fac, k, transposed)
         out.append((approx, _build_report(a, approx, p, baseline, sandwich, wall_ms, seed)))
     return out
 
@@ -198,10 +199,10 @@ def _cmd_sweep(args) -> int:
     # cost most, then the randomized conditioner's Lewis fixed point; an svd
     # job is one SVD.  Within a method, p outside {1, 2} goes first, then
     # p = 1, and p = 2 last, where both lowner and the conditioner are closed
-    # forms (20000x32 jobs at one BLAS thread: randomized 0.6 s at p = 3 and 4,
-    # 0.5 s at p = 1 and 1.5, 0.27 s at p = 2; svd 0.2 s); among p outside
-    # {1, 2}, larger p first.  Rows are sorted after the pool, so the order
-    # never reaches the output.
+    # forms (20000x32 jobs at one BLAS thread: randomized 0.29-0.31 s at
+    # p = 1.5, 3 and 4, 0.25 s at p = 1, 0.20 s at p = 2; svd 0.14-0.19 s);
+    # among p outside {1, 2}, larger p first.  Rows are sorted after the
+    # pool, so the order never reaches the output.
     cost = {Method.LOWNER: 0, Method.RANDOMIZED: 1, Method.SVD: 2}
     tier = {1.0: 1, 2.0: 2}
     jobs = sorted(((p, m) for p in ps for m in methods), key=lambda j: (cost[j[1]], tier.get(j[0], 0), -j[0]))

@@ -28,7 +28,7 @@ from .rng import philox
 _SANDWICH_SAMPLES = 1000  # Gaussian directions of sandwich_check, besides the 2d axes
 _SANDWICH_SEED = 424242
 _LEWIS_TOL = 1e-3  # largest relative change of the row scales s that ends the Lewis fixed point
-_LEWIS_ITERS = 50  # cap on the fixed point's QR factorizations
+_LEWIS_ITERS = 50  # cap on the fixed point's steps
 _TINY = np.finfo(float).tiny  # smallest normal double
 _LOWER_MARGIN = 1e-9  # relative shrink of R that keeps ||Rx||_2 <= ||Ax||_p through rounding
 
@@ -100,6 +100,40 @@ def lp_svd(a, p: float, cfg: LownerConfig | None = None) -> LpSvd:
     return _finish(a, res.D, res.V, p, distortion, "lowner", iterations)
 
 
+def _constants(tau: np.ndarray, s: np.ndarray, w: np.ndarray, p: float) -> tuple[float, float, float]:
+    """(leverage constant, lo, hi) of one Lewis step from its leverages, scales and weights."""
+    e = 0.5 - 1.0 / p
+    pos = s > 0
+    g = tau[pos] ** (p / 2.0 - 1.0) / (s[pos] * s[pos])
+    wsum = float(w.sum())
+    t = float(np.sum(tau[~pos] ** (p / 2.0)))
+    if p <= 2:
+        gk = float(g.min())
+        return gk, gk ** (1.0 / p), wsum**-e + t ** (1.0 / p)
+    gk = float(g.max()) + t
+    return gk, wsum**-e, gk ** (1.0 / p)
+
+
+def _qr_leverages(rows: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, U, tau) of B = diag(s) rows: B's R-only QR factor, U = rows R^-1 and tau_i = ||u_i||^2."""
+    r = qr(rows * s[:, None])
+    u = rows @ np.linalg.inv(r)
+    return r, u, np.einsum("ij,ij->i", u, u)
+
+
+def _gram_leverages(u: np.ndarray, s: np.ndarray) -> np.ndarray | None:
+    """tau_i = ||u_i C^-1||^2 with C^T C = U^T S^2 U, or None if that Cholesky fails."""
+    su = u * s[:, None]
+    gram = su.T @ su
+    del su  # at most two n x d arrays of the step are alive at once
+    try:
+        low = np.linalg.cholesky(gram)  # C = low^T
+    except np.linalg.LinAlgError:
+        return None
+    v = u @ np.linalg.inv(low).T
+    return np.einsum("ij,ij->i", v, v)
+
+
 # At p < 2 a zero tau or w powers to g = inf or s = inf, and at large p the
 # powers of tau can overflow; the loop handles both.
 @np.errstate(divide="ignore", over="ignore")
@@ -107,34 +141,42 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     """Lewis-weighted factor of A: (R, lo, hi) with lo ||Rx||_2 <= ||Ax||_p <= hi ||Rx||_2.
 
     Over the nonzero rows a_i (a zero row adds nothing to either side of
-    the sandwich), each step factors B = S A with S = diag(s), s = w^(1/2 - 1/p),
-    into R alone, reads tau_i = ||a_i R^-1||^2 = a_i^T (B^T B)^-1 a_i from A's
-    own rows, so that |a_i x| <= sqrt(tau_i) ||Rx||_2, and moves to w = tau^(p/2)
+    the sandwich), each step weighs B = S A with S = diag(s), s = w^(1/2 - 1/p),
+    reads tau_i = a_i^T (B^T B)^-1 a_i from A's own rows, so that
+    |a_i x| <= sqrt(tau_i) ||Rx||_2 for B's factor R, and moves to w = tau^(p/2)
     at p <= 2.  At p > 2 the step is damped, w = w^(1 - alpha) tau^(alpha p/2)
     with alpha = min(1/2, 4/(p + 2)): in ln w its eigenvalues lie in
     [1 - alpha p/2, 1 - alpha], so it contracts at every p, where the plain
     step need not settle at p >= 4 and alpha = 1/2 does not at p >= 8.
-    At p <= 6 that is w^(1/2) tau^(p/4).  It starts at w = 1, where R is A's
-    own factor and carries the rank test, and stops once s changes by at
-    most _LEWIS_TOL relative on the rows with s > 0 (at p = 2, after one QR),
-    or after _LEWIS_ITERS steps.  A row whose weight underflowed to 0, or
-    whose tau fell below the smallest normal double (its digits are then
-    rounding noise), gets w = 0 and s = 0, so it leaves B.  With
-    g_i = tau_i^(p/2 - 1) / s_i^2 over the rows with s > 0 and
-    t = sum_{s_i = 0} tau_i^(p/2):
+    At p <= 6 that is w^(1/2) tau^(p/4).  It starts at w = 1, where an
+    R-only QR gives A's own factor R_A, which carries the rank test, and
+    U = A R_A^-1, A whitened.  Every later step factors the d x d matrix
+    U^T S^2 U = C^T C by Cholesky, since B^T B = R_A^T C^T C R_A, and reads
+    tau_i = ||u_i C^-1||^2 from U's rows; only if that Cholesky fails does the
+    step run an R-only QR of B, whose U = A R^-1 whitens the steps after it.
+    It stops once s changes by at most _LEWIS_TOL relative on the rows with
+    s > 0 (at p = 2, after one QR), or after _LEWIS_ITERS steps.  A row
+    whose weight underflowed to 0, or whose tau fell below the smallest
+    normal double (its digits are then rounding noise), gets w = 0 and s = 0,
+    so it leaves B.  With g_i = tau_i^(p/2 - 1) / s_i^2 over the rows with
+    s > 0 and t = sum_{s_i = 0} tau_i^(p/2):
 
         p <= 2:  lo = (min g)^(1/p),  hi = (sum w)^(1/p - 1/2) + t^(1/p)
                  by Holder and Minkowski;
         p > 2:   lo = (sum w)^(1/p - 1/2) by Holder,  hi = (max g + t)^(1/p),
 
     since a row left out of B adds at most tau_i^(p/2) ||Rx||_2^p to
-    ||Ax||_p^p.  R, lo and hi are those of one QR, so both sides hold for the
+    ||Ax||_p^p.  The proof rests on a QR: the step that stands, if it ran
+    a Cholesky, runs one R-only QR of its B at the end, and R, lo and hi
+    are read from that QR's tau as above, so both sides hold for the
     weights used, converged or not; at the fixed point hi / lo is
-    d^|1/p - 1/2|.  A result that the cap ended (from p = 32 on, planted and
-    Gaussian inputs ran all 50 steps) is proved but looser.  A step whose
-    weights turn non-finite or whose B loses rank ends the loop.  The last
-    step whose leverage constant (min g, or max g + t) is a finite normal
-    number stands; if there is none, NoConvergence names the cause.
+    d^|1/p - 1/2|.  A result that the cap ended (from p = 32 on, planted
+    and Gaussian inputs ran all 50 steps) is proved but looser.  A step
+    whose weights turn non-finite, whose B loses rank or whose factor does
+    not invert ends the loop.  The last step whose leverage constant
+    (min g, or max g + t) is a finite normal number stands; if its final QR
+    fails or reads no such constant, the last QR step that had one stands,
+    and if there is none, NoConvergence names the cause.
     """
     rows = a[np.any(a != 0.0, axis=1)]
     if rows.shape[0] < a.shape[1]:
@@ -142,13 +184,18 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     e = 0.5 - 1.0 / p
     alpha = min(0.5, 4.0 / (p + 2.0))
     w = np.ones(rows.shape[0])
-    good = None
+    u = None  # the rows whitened by the last QR's factor
+    proved = None  # (R, lo, hi) of the last QR step whose constant is good
+    pending = None  # (s, w) of a Cholesky step that stands, to be proved by a QR
     for it in range(_LEWIS_ITERS):
         s = w**e
         s[w == 0] = 0.0  # a row of weight 0 is left out of B (at p < 2, s would be inf)
+        r = None
         try:
-            r = qr(rows * s[:, None])
-            rinv = np.linalg.inv(r)
+            tau = None if u is None else _gram_leverages(u, s)
+            if tau is None:
+                u = None  # freed before the QR allocates its own n x d arrays
+                r, u, tau = _qr_leverages(rows, s)
         except (RankDeficient, np.linalg.LinAlgError):
             if it == 0:
                 raise RankDeficient("conditioner requires a matrix of full column rank") from None
@@ -157,28 +204,33 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
             sv = np.linalg.svd(r, compute_uv=False)  # A's singular values
             if sv[-1] <= 1e-10 * sv[0]:
                 raise RankDeficient("conditioner requires a matrix of full column rank")
-        u = rows @ rinv
-        tau = np.einsum("ij,ij->i", u, u)
+        gk, lo, hi = _constants(tau, s, w, p)
+        if _TINY <= gk < np.inf and hi < np.inf:  # a subnormal gk has lost its digits
+            if r is None:
+                pending = s, w
+            else:
+                proved, pending = (r, lo, hi), None
         pos = s > 0
-        g = tau[pos] ** (p / 2.0 - 1.0) / (s[pos] * s[pos])
-        wsum = float(w.sum())
-        t = float(np.sum(tau[~pos] ** (p / 2.0)))
         if p <= 2:
-            gk = float(g.min())
-            lo, hi = gk ** (1.0 / p), wsum**-e + t ** (1.0 / p)
             w = tau ** (p / 2.0)
         else:
-            gk = float(g.max()) + t
-            lo, hi = wsum**-e, gk ** (1.0 / p)
             w = w ** (1.0 - alpha) * tau ** (alpha * p / 2.0)
-        if _TINY <= gk < np.inf and hi < np.inf:  # a subnormal gk has lost its digits
-            good = r, lo, hi
         w[tau < _TINY] = 0.0  # a leverage that underflowed is noise; its row leaves B
         if not np.all(np.isfinite(w)) or np.max(np.abs(w[pos] ** e / s[pos] - 1.0)) <= _LEWIS_TOL:
             break
-    if good is None:
+    if pending is not None:
+        s, w = pending
+        u = None  # freed before the final QR allocates its n x d arrays
+        try:
+            r, _, tau = _qr_leverages(rows, s)
+            gk, lo, hi = _constants(tau, s, w, p)
+            if _TINY <= gk < np.inf and hi < np.inf:
+                return r, lo, hi
+        except (RankDeficient, np.linalg.LinAlgError):
+            pass
+    if proved is None:
         raise NoConvergence(f"Lewis fixed point at p = {p}: every step's leverage constant overflowed or underflowed")
-    return good
+    return proved
 
 
 def randomized_conditioner(a, p: float, seed: int = 0) -> ConditionerResult:

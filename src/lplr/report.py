@@ -91,12 +91,13 @@ def _build_report(
     The SVD and ``sandwich_check`` of a factorization do not depend on the
     rank, so a sweep computes them once and passes them here for every rank;
     :func:`evaluate` computes both fresh.  Both errors are summed over ``a``
-    in its own layout, so an svd row's two errors agree bit for bit.
+    in its own layout, so an svd row's two errors agree bit for bit, and a
+    ``baseline`` that is ``approx`` itself reuses the first sum.
     """
     d = int(approx.sigmas.shape[0])
     n = a.size // d
     error_pp = entrywise_pnorm_pow(a - assemble(approx), p)
-    error_l2 = entrywise_pnorm_pow(a - assemble(baseline), p)
+    error_l2 = error_pp if baseline is approx else entrywise_pnorm_pow(a - assemble(baseline), p)
     bounds = error_bounds(approx.sigmas, approx.k, p, d, n, approx.method)
     lo, hi = sandwich
     return EvalReport(

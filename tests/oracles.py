@@ -1,6 +1,7 @@
 """Independent oracles used to derive expected values in the test suite.
 
-Apart from ``reference_cut_loop`` and ``reference_ascend``, none of these
+Apart from ``reference_cut_loop``, ``reference_ascend`` and
+``reference_lewis``, none of these
 call back into ``lplr``'s numerical paths: eigenvalues come from a classical
 Jacobi rotation sweep, Cholesky from textbook elimination, gradients from
 central finite differences, minimum-volume enclosing ellipsoids from a
@@ -12,7 +13,10 @@ primitives and of ``shallow_cut``, the textbook shallow-cut update written
 out here on its own, against which the raw-array loop in ``lplr.lowner`` is
 compared bit for bit.  ``reference_ascend`` is the untrimmed ascent oracle, which
 computes every gradient and moves every iterate, against which
-``lplr.lowner._ascend`` is compared bit for bit.
+``lplr.lowner._ascend`` is compared bit for bit.  ``reference_lewis`` is the
+Lewis fixed point that runs an R-only QR at every step, against which
+``lplr.lpsvd._sketch``, which runs a QR only at its first and last steps, is
+compared.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ import math
 
 import numpy as np
 
-from lplr.errors import DimensionTooSmall, NotPositiveDefinite, ShapeMismatch
+from lplr.errors import DimensionTooSmall, NoConvergence, NotPositiveDefinite, RankDeficient, ShapeMismatch
 from lplr.lowner import VERTEX_TOL, Ellipsoid, contracted_vertices, initial_ball, subgradient
+from lplr.lpsvd import _LEWIS_ITERS, _LEWIS_TOL, _TINY
+from lplr.matcore import qr
 
 
 def pnorm_pow_loops(a, p):
@@ -279,3 +285,58 @@ def whitened_lower_ratio(a, p, r, starts, iters, seed):
         step *= 0.97
     j = int(np.argmin(best_val))
     return float(best_val[j]), np.linalg.solve(ra, best_y[j])
+
+
+@np.errstate(divide="ignore", over="ignore")
+def reference_lewis(a, p):
+    """Lewis-weighted factor (R, lo, hi) of A with one R-only QR of diag(s) A per step.
+
+    The fixed point of ``lplr.lpsvd._sketch`` as it ran before its middle
+    steps moved to A's whitened basis: every step factors B = S A by QR and
+    reads tau_i = ||a_i R^-1||^2, and the constants of the last step whose
+    leverage constant is a finite normal number stand.  ``_sketch`` with
+    every Cholesky failing is this function bit for bit.
+    """
+    rows = a[np.any(a != 0.0, axis=1)]
+    if rows.shape[0] < a.shape[1]:
+        raise RankDeficient("conditioner requires a matrix of full column rank")
+    e = 0.5 - 1.0 / p
+    alpha = min(0.5, 4.0 / (p + 2.0))
+    w = np.ones(rows.shape[0])
+    good = None
+    for it in range(_LEWIS_ITERS):
+        s = w**e
+        s[w == 0] = 0.0
+        try:
+            r = qr(rows * s[:, None])
+            rinv = np.linalg.inv(r)
+        except (RankDeficient, np.linalg.LinAlgError):
+            if it == 0:
+                raise RankDeficient("conditioner requires a matrix of full column rank") from None
+            break
+        if it == 0:
+            sv = np.linalg.svd(r, compute_uv=False)
+            if sv[-1] <= 1e-10 * sv[0]:
+                raise RankDeficient("conditioner requires a matrix of full column rank")
+        u = rows @ rinv
+        tau = np.einsum("ij,ij->i", u, u)
+        pos = s > 0
+        g = tau[pos] ** (p / 2.0 - 1.0) / (s[pos] * s[pos])
+        wsum = float(w.sum())
+        t = float(np.sum(tau[~pos] ** (p / 2.0)))
+        if p <= 2:
+            gk = float(g.min())
+            lo, hi = gk ** (1.0 / p), wsum**-e + t ** (1.0 / p)
+            w = tau ** (p / 2.0)
+        else:
+            gk = float(g.max()) + t
+            lo, hi = wsum**-e, gk ** (1.0 / p)
+            w = w ** (1.0 - alpha) * tau ** (alpha * p / 2.0)
+        if _TINY <= gk < np.inf and hi < np.inf:
+            good = r, lo, hi
+        w[tau < _TINY] = 0.0
+        if not np.all(np.isfinite(w)) or np.max(np.abs(w[pos] ** e / s[pos] - 1.0)) <= _LEWIS_TOL:
+            break
+    if good is None:
+        raise NoConvergence(f"Lewis fixed point at p = {p}: every step's leverage constant overflowed or underflowed")
+    return good

@@ -225,6 +225,30 @@ def test_sweep_rows_equal_evaluate(tmp_path, tall_matrix, orientation, workers):
 
 
 @pytest.mark.parametrize("orientation", ["tall", "wide"])
+def test_svd_rows_sum_their_error_once(monkeypatch, tmp_path, tall_matrix, orientation):
+    # An svd row's approximation is its own baseline, so its error is summed
+    # once and reported twice: one entrywise_pnorm_pow call per row.
+    a = tall_matrix if orientation == "tall" else np.ascontiguousarray(tall_matrix.T)
+    path, rep_path = tmp_path / "in.lplr", tmp_path / "sweep.json"
+    store_matrix(path, a)
+    report_module = importlib.import_module("lplr.report")
+    real = report_module.entrywise_pnorm_pow
+    calls = []
+
+    def counting(m, p):
+        calls.append(p)
+        return real(m, p)
+
+    monkeypatch.setattr(report_module, "entrywise_pnorm_pow", counting)
+    argv = ["sweep", "--input", str(path), "--ks", "2,3,5", "--ps", "1,2,4", "--methods", "svd",
+            "--report", str(rep_path)]
+    assert main(argv) == 0
+    rows = json.loads(rep_path.read_text())
+    assert len(rows) == len(calls) == 9
+    assert all(row["error_pp"] == row["error_l2_baseline"] for row in rows)
+
+
+@pytest.mark.parametrize("orientation", ["tall", "wide"])
 @pytest.mark.parametrize(
     "argv",
     [

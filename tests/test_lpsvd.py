@@ -12,7 +12,7 @@ from lplr.lpsvd import lp_svd, lp_svd_randomized, randomized_conditioner, sandwi
 from lplr.matcore import qr
 from lplr.rng import philox
 
-from oracles import mvee_axis_reciprocals, whitened_lower_ratio
+from oracles import mvee_axis_reciprocals, reference_lewis, whitened_lower_ratio
 
 # The package attribute ``lplr.lowner`` is the function, not the module.
 lowner_module = importlib.import_module("lplr.lowner")
@@ -311,15 +311,39 @@ class TestLewisConditionerAtLargeP:
     @pytest.mark.parametrize("p", [1.0, 4.0, 12.0])
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_a_failed_step_keeps_the_last_good_one(self, monkeypatch, p, failure):
-        # A step whose B loses rank, whose R does not invert, or whose
-        # leverages overflow ends the loop with the step before it: the same
-        # R and distortion as a cap of two steps.
+        # A step whose B loses rank (its Cholesky and its QR fallback both
+        # fail), whose factor does not invert, or whose leverages overflow
+        # ends the loop with the step before it: the same R and distortion as
+        # a cap of two steps.
         a = planted(400, 8, 7)
         monkeypatch.setattr(lpsvd, "_LEWIS_ITERS", 2)
         capped = randomized_conditioner(a, p)
         monkeypatch.undo()
         inject_step_failure(monkeypatch, failure, 3)
         cond = randomized_conditioner(a, p)
+        assert cond.R.tobytes() == capped.R.tobytes()
+        assert cond.distortion == capped.distortion
+
+    @pytest.mark.parametrize("p", [1.0, 4.0, 12.0])
+    def test_a_failed_final_qr_keeps_the_last_qr_step(self, monkeypatch, p):
+        # The standing Cholesky step is proved by a QR at the end; if that QR
+        # fails, the last step that ran a QR stands, here the first: the same
+        # R and distortion as a cap of one step.
+        a = planted(400, 8, 7)
+        monkeypatch.setattr(lpsvd, "_LEWIS_ITERS", 1)
+        capped = randomized_conditioner(a, p)
+        monkeypatch.undo()
+        calls = []
+
+        def failing_final_qr(m):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RankDeficient("matrix is (numerically) rank deficient")
+            return qr(m)
+
+        monkeypatch.setattr(lpsvd, "qr", failing_final_qr)
+        cond = randomized_conditioner(a, p)
+        assert len(calls) == 2
         assert cond.R.tobytes() == capped.R.tobytes()
         assert cond.distortion == capped.distortion
 
@@ -333,15 +357,33 @@ class TestLewisConditionerAtLargeP:
 
 
 def inject_step_failure(monkeypatch, failure, step):
-    """Make step ``step`` of the Lewis fixed point fail in its QR, its inverse, or its leverages."""
+    """Make step ``step`` of the Lewis fixed point fail in its factorization, its inverse, or its leverages.
+
+    The first step factors by QR and every later one by Cholesky, so a step
+    is counted at each QR or Cholesky call, except the QR that stands in for
+    a failed Cholesky.  A failing factorization fails on both routes: the
+    step's Cholesky and then its QR fallback.
+    """
     calls = []
+    fallback = []
     real_inv = np.linalg.inv
+    real_cholesky = np.linalg.cholesky
 
     def failing_qr(m):
+        if fallback:
+            fallback.clear()
+            raise RankDeficient("matrix is (numerically) rank deficient")
         calls.append(1)
         if len(calls) == step:
             raise RankDeficient("matrix is (numerically) rank deficient")
         return qr(m)
+
+    def failing_cholesky(m):
+        calls.append(1)
+        if len(calls) == step:
+            fallback.append(1)
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real_cholesky(m)
 
     def failing_inv(m):
         calls.append(1)
@@ -353,8 +395,91 @@ def inject_step_failure(monkeypatch, failure, step):
 
     if failure == "rank":
         monkeypatch.setattr(lpsvd, "qr", failing_qr)
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     else:
         monkeypatch.setattr(np.linalg, "inv", failing_inv)
+
+
+def reference_input(name):
+    if name.startswith("rows scaled by "):
+        a = np.random.default_rng(5).standard_normal((400, 5))
+        a[:200] *= float(name.rsplit(" ", 1)[1])
+        return a
+    if name == "zero rows 200x8":
+        a = planted(200, 8, 5)
+        a[[17, 120]] = 0.0
+        return a
+    if name.startswith("cond "):
+        return TestConditionerEdgeInputs.conditioned(float(name.split(" ")[1]))
+    return large_p_input(name)
+
+
+REFERENCE_INPUTS = ["planted 2000x16", "planted 400x8", "gaussian 400x8", "rows scaled by 1e-120",
+                    "rows scaled by 1e-160", "rows scaled by 1e-200", "zero rows 200x8", "cond 1e6"]
+REFERENCE_PS = [1.0, 1.5, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0, 64.0]
+
+
+def assert_same_triple(got, expected):
+    """(R, lo, hi) equal bit for bit."""
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1:] == expected[1:]
+
+
+class TestAgainstTheAllQrFixedPoint:
+    """The middle steps read tau from A's whitened basis; the fixed point still matches one QR per step."""
+
+    @pytest.mark.parametrize("p", REFERENCE_PS)
+    @pytest.mark.parametrize("name", REFERENCE_INPUTS)
+    def test_r_and_distortion_agree(self, name, p):
+        a = reference_input(name)
+        r, lo, hi = reference_lewis(a, p)
+        cond = randomized_conditioner(a, p)
+        expected = r * (lo * (1.0 - lpsvd._LOWER_MARGIN))
+        assert np.linalg.norm(cond.R - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert cond.distortion == pytest.approx(hi / lo, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("name", REFERENCE_INPUTS + ["cond 1e9"])
+    def test_p2_is_the_reference_bit_for_bit(self, name):
+        a = reference_input(name)
+        assert_same_triple(lpsvd._sketch(a, 2.0), reference_lewis(a, 2.0))
+
+    @pytest.mark.parametrize("p", REFERENCE_PS)
+    def test_condition_1e9_keeps_both_sides(self, p):
+        # A QR at cond 1e9 is accurate to about cond x eps, so R itself may
+        # move by 1e-8 relative; the distortion and the lower side may not.
+        a = reference_input("cond 1e9")
+        r, lo, hi = reference_lewis(a, p)
+        cond = randomized_conditioner(a, p)
+        assert cond.distortion == pytest.approx(hi / lo, rel=1e-6, abs=0)
+        ratio, _ = whitened_lower_ratio(a, p, cond.R, starts=64, iters=200, seed=11)
+        assert ratio >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 12.0])
+    def test_every_cholesky_failing_is_the_reference_bit_for_bit(self, monkeypatch, p):
+        # A step whose Cholesky fails runs the QR step instead; with every
+        # Cholesky failing, that is the all-QR fixed point, and no
+        # LinAlgError escapes.
+        def failing_cholesky(m):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        a = planted(2000, 16, 5)
+        expected = reference_lewis(a, p)
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        assert_same_triple(lpsvd._sketch(a, p), expected)
+
+    @pytest.mark.parametrize("p,count", [(1.0, 2), (1.5, 2), (2.0, 1), (4.0, 2), (12.0, 2)])
+    def test_only_the_first_and_last_steps_run_a_qr(self, monkeypatch, p, count):
+        # The fixed point takes 6-28 steps here; the layer trace times only
+        # the whole of _sketch, so the QR count pins where its time went.
+        calls = []
+
+        def counting_qr(m):
+            calls.append(m.shape)
+            return qr(m)
+
+        monkeypatch.setattr(lpsvd, "qr", counting_qr)
+        randomized_conditioner(planted(2000, 16, 5), p)
+        assert len(calls) == count
 
 
 class TestConditionerEdgeInputs:

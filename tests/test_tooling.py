@@ -97,3 +97,21 @@ def test_cut_phase_result_is_what_the_trace_reads():
         tracer.uninstall()
     assert len(out) == 5 and out[1] == 0 and out[2] > 0
     assert tracer.counters["lowner.cut_phase.cuts"] == out[2]
+
+
+def test_sketch_span_covers_the_whole_fixed_point():
+    # lpsvd.sketch.s is the per-layer time of the Lewis fixed point: its
+    # first QR, the Cholesky steps and the final QR all run inside the one
+    # traced _sketch call, which randomized_conditioner makes once.
+    a = generate_synthetic(SyntheticSpec(n=2000, d=16, k_true=4, outlier_fraction=0.05, noise_sigma=0.01,
+                                         outlier_scale=20.0, seed=5))
+    lpsvd = importlib.import_module("lplr.lpsvd")
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        lpsvd.randomized_conditioner(a, 1.0)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["lpsvd.sketch"]["calls"] == 1
+    assert summary["lpsvd.sketch"]["s"] <= summary["lpsvd.randomized_conditioner"]["s"]
