@@ -18,17 +18,17 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidConfig, InvalidP, LplrError
 from .factor import Method, factorize, l2_svd, orient, truncate_factorization
 from .lowner import LevelSet, LownerConfig, contracted_vertices, lowner
-from .lpsvd import sandwich_check
+from .lpsvd import LpSvd, gaussian_norms, sandwich_check
 from .matcore import check_p
 from .matio import load_matrix, store_matrix
-from .report import _build_report, report_to_json
+from .report import _build_report, _error_sums, report_to_json
 from .rng import philox
 from .synth import SyntheticSpec, generate_synthetic
 
@@ -131,55 +131,134 @@ def _check_p(p: float, flag: str) -> None:
 
 
 def _cmd_factorize(args) -> int:
-    """``factorize``, and ``baseline``, whose parser fixes ``method`` to svd."""
+    """``factorize``, and ``baseline``, whose parser fixes ``method`` to svd: a sweep of one row."""
     _check_p(args.p, "--p")
     a = load_matrix(args.input)
     if not 1 <= args.rank <= min(a.shape) - 1:
         raise _UsageError(f"--rank must be in [1, {min(a.shape) - 1}] for a {a.shape[0]}x{a.shape[1]} input")
-    [(approx, report)] = _reports(a, [args.rank], args.p, Method(args.method), args.seed)
-    _write_outputs(args, approx, report)
+    method = Method(args.method)
+    shared = _Shared.of(a, [args.rank], [args.p])
+    if method is Method.SVD:
+        fac, part = shared.svd, shared.svd_part(args.p)
+    else:
+        fac, part = _factorization(a, [args.rank], args.p, method)
+    [report] = shared.reports(part, args.seed)
+    _write_outputs(args, truncate_factorization(fac, args.rank, shared.transposed), report)
     return 0
 
 
-def _reports(a, ks, p, method, seed):
-    """One (p, method) factorization of ``a``, truncated and reported at every k.
+@dataclass(frozen=True)
+class _Part:
+    """What one (p, method) factorization adds to its sweep rows.
 
-    Returns one (approximation, report) pair per rank.  The SVD of the
-    oriented input and the sandwich check of the factorization do not depend
-    on k, so they are computed once and shared by every report.  A report's
-    wall time is the factorization time plus that rank's truncation time; for
-    svd reports the shared SVD is the factorization, and each rank's
-    approximation is its own baseline.  ``seed`` only fills the reports'
-    ``seed`` field: no factorization reads one.
+    (D, V) enter the sandwich check, and ``ranks`` holds (k, wall ms,
+    error_pp) per rank.  U and the approximations stay where the
+    factorization ran.
     """
-    oriented, transposed = orient(a)
-    start = time.perf_counter()
-    fac = factorize(oriented, p, method)
-    base_ms = (time.perf_counter() - start) * 1e3
-    svd_fac = None if method is Method.SVD else l2_svd(oriented)
-    # The transposed view, not the contiguous copy: it is the array evaluate()
-    # reads, and the two can round differently in the sandwich products.
-    sandwich = sandwich_check(a.T if transposed else a, p, fac.D, fac.V)
+
+    p: float
+    method: Method
+    D: np.ndarray
+    V: np.ndarray
+    iterations: dict
+    ranks: list
+
+
+def _truncations(a, fac, ks, ps, transposed, base_ms):
+    """(k, wall ms, sum |A - A_k|^p at each p of ``ps``) per rank k of ``fac``.
+
+    A rank's wall time is ``base_ms``, the factorization's, plus its
+    truncation time.  One residual per rank serves every p.
+    """
     out = []
     for k in ks:
         t0 = time.perf_counter()
         approx = truncate_factorization(fac, k, transposed)
         wall_ms = base_ms + (time.perf_counter() - t0) * 1e3
-        baseline = approx if svd_fac is None else truncate_factorization(svd_fac, k, transposed)
-        out.append((approx, _build_report(a, approx, p, baseline, sandwich, wall_ms, seed)))
+        out.append((k, wall_ms, _error_sums(a, approx, ps)))
     return out
 
 
+def _factorization(a, ks, p, method):
+    """(factorization, its part) of one non-svd (p, method) job."""
+    oriented, transposed = orient(a)
+    start = time.perf_counter()
+    fac = factorize(oriented, p, method)
+    base_ms = (time.perf_counter() - start) * 1e3
+    ranks = [(k, ms, err) for k, ms, [err] in _truncations(a, fac, ks, [p], transposed, base_ms)]
+    return fac, _Part(p, method, fac.D, fac.V, fac.iterations, ranks)
+
+
 def _sweep_job(payload):
-    """The report dicts of one sweep (p, method) job; the approximations stay in the worker."""
-    a, ks, p, method, seed = payload
-    return [asdict(report) for _, report in _reports(a, ks, p, method, seed)]
+    """The part of one non-svd sweep job ``(a, ks, p, method)``."""
+    return _factorization(*payload)[1]
+
+
+@dataclass(frozen=True)
+class _Shared:
+    """What every row of a sweep of ``a`` shares, computed once.
+
+    ``svd`` is the SVD of the oriented input, and ``svd_ms`` maps k to the
+    wall time of an svd row (the SVD plus that truncation).  ``baseline``
+    maps (k, p) to sum |A - A_k|^p of the SVD's rank-k truncation, which is
+    an svd row's error and every other row's baseline.  ``gaussian`` maps p
+    to the Gaussian numerators of the sandwich check.  ``view`` is the
+    array the sandwich is checked on: the transposed view of a wide input,
+    not the contiguous copy, because it is the array evaluate() reads, and
+    the two can round differently in the sandwich products.
+    """
+
+    view: np.ndarray
+    transposed: bool
+    svd: LpSvd
+    svd_ms: dict
+    baseline: dict
+    gaussian: dict
+
+    @classmethod
+    def of(cls, a, ks, ps):
+        oriented, transposed = orient(a)
+        start = time.perf_counter()
+        svd = l2_svd(oriented)
+        base_ms = (time.perf_counter() - start) * 1e3
+        del oriented  # a wide input's contiguous copy: the sums read ``a``, the sandwich its view
+        ranks = _truncations(a, svd, ks, ps, transposed, base_ms)
+        view = a.T if transposed else a
+        return cls(
+            view=view,
+            transposed=transposed,
+            svd=svd,
+            svd_ms={k: ms for k, ms, _ in ranks},
+            baseline={(k, p): err for k, _, errs in ranks for p, err in zip(ps, errs)},
+            gaussian={p: gaussian_norms(view, p) for p in ps},
+        )
+
+    def svd_part(self, p) -> _Part:
+        """The svd factorization's part at p: each rank's error is its own baseline."""
+        ranks = [(k, ms, self.baseline[k, p]) for k, ms in self.svd_ms.items()]
+        return _Part(p, Method.SVD, self.svd.D, self.svd.V, self.svd.iterations, ranks)
+
+    def reports(self, part: _Part, seed: int) -> list:
+        p = part.p
+        sandwich = sandwich_check(self.view, p, part.D, part.V, self.gaussian[p])
+        return [
+            _build_report(self.view.shape[0], part.D, k, p, part.method, part.iterations,
+                          (err, self.baseline[k, p]), sandwich, ms, seed)
+            for k, ms, err in part.ranks
+        ]
 
 
 def _cmd_sweep(args) -> int:
+    """``sweep``: every (k, p, method) row of the grid, each equal to evaluate()'s report.
+
+    The pool runs the lowner and randomized (p, method) jobs, each one
+    factorization and its own error sums (:func:`_sweep_job`).  Meanwhile
+    the parent computes what every row shares (:class:`_Shared`); then it
+    runs each factorization's sandwich check and builds all rows.
+    """
     try:
         ks = sorted({int(s) for s in args.ks.split(",") if s})
-        ps = {float(s) for s in args.ps.split(",") if s}
+        ps = sorted({float(s) for s in args.ps.split(",") if s})
         methods = {Method(s.strip()) for s in args.methods.split(",") if s}
     except (ValueError, InvalidConfig) as exc:
         raise _UsageError(str(exc)) from None
@@ -196,24 +275,32 @@ def _cmd_sweep(args) -> int:
             raise _UsageError(f"rank {k} out of range for a {a.shape[0]}x{a.shape[1]} input")
     # Costliest jobs first: the pool starts jobs in submission order, so a long
     # job submitted last runs while the other workers sit idle.  lowner solves
-    # cost most, then the randomized conditioner's Lewis fixed point; an svd
-    # job is one SVD.  Within a method, p outside {1, 2} goes first, then
-    # p = 1, and p = 2 last, where both lowner and the conditioner are closed
-    # forms (20000x32 jobs at one BLAS thread: randomized 0.29-0.31 s at
-    # p = 1.5, 3 and 4, 0.25 s at p = 1, 0.20 s at p = 2; svd 0.14-0.19 s);
-    # among p outside {1, 2}, larger p first.  Rows are sorted after the
+    # cost most, then the randomized conditioner's Lewis fixed point.  Within
+    # a method, p outside {1, 2} goes first, then p = 1, and p = 2 last, where
+    # both lowner and the conditioner are closed forms; among p outside
+    # {1, 2}, larger p first.  A randomized job at 20000x32 with 8 ranks
+    # takes 0.15-0.25 s at p = 1, 1.5, 3 and 4 and 0.08-0.14 s at p = 2 (one
+    # BLAS thread, synth seeds 5000 and 41000).  Rows are sorted after the
     # pool, so the order never reaches the output.
-    cost = {Method.LOWNER: 0, Method.RANDOMIZED: 1, Method.SVD: 2}
+    cost = {Method.LOWNER: 0, Method.RANDOMIZED: 1}
     tier = {1.0: 1, 2.0: 2}
-    jobs = sorted(((p, m) for p in ps for m in methods), key=lambda j: (cost[j[1]], tier.get(j[0], 0), -j[0]))
-    payloads = [(a, ks, p, m, args.seed) for (p, m) in jobs]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            grouped = list(pool.map(_sweep_job, payloads))
+    jobs = sorted(((p, m) for p in ps for m in methods if m is not Method.SVD),
+                  key=lambda j: (cost[j[1]], tier.get(j[0], 0), -j[0]))
+    payloads = [(a, ks, p, m) for p, m in jobs]
+    if args.workers > 1 and payloads:
+        # The workers fork at the first submission, before the parent
+        # allocates the SVD and its residuals, which it computes while they run.
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(payloads))) as pool:
+            pending = pool.map(_sweep_job, payloads)
+            shared = _Shared.of(a, ks, ps)
+            parts = list(pending)
     else:
-        grouped = [_sweep_job(pl) for pl in payloads]
+        shared = _Shared.of(a, ks, ps)
+        parts = [_sweep_job(payload) for payload in payloads]
+    if Method.SVD in methods:
+        parts += [shared.svd_part(p) for p in ps]
     results = sorted(
-        (rep for group in grouped for rep in group),
+        (asdict(rep) for part in parts for rep in shared.reports(part, args.seed)),
         key=lambda r: (r["k"], r["p"], r["method"]),
     )
     with open(args.report, "w") as fh:

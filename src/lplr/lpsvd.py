@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooSmall, NoConvergence, RankDeficient, ShapeMismatch, SvdFailure
-from .lowner import LownerConfig, lowner, pnorms
+from .lowner import _ROW_CHUNK, DIRECTION_BLOCK, LownerConfig, _norm_pass, lowner, pnorms
 from .matcore import as_matrix, check_p, frozen, qr, svd
 from .rng import philox
 
@@ -178,7 +178,10 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     fails or reads no such constant, the last QR step that had one stands,
     and if there is none, NoConvergence names the cause.
     """
-    rows = a[np.any(a != 0.0, axis=1)]
+    nonzero = np.any(a != 0.0, axis=1)
+    # Without a zero row, A itself: the same values in the same C layout as
+    # the masked copy, so R keeps its bits, and one n x d array fewer.
+    rows = np.ascontiguousarray(a) if nonzero.all() else a[nonzero]
     if rows.shape[0] < a.shape[1]:
         raise RankDeficient("conditioner requires a matrix of full column rank")
     e = 0.5 - 1.0 / p
@@ -261,12 +264,47 @@ def lp_svd_randomized(a, p: float) -> LpSvd:
     return _finish(a, dvals, v, p, cond.distortion, "randomized", {"central": 0, "shallow": 0, "refine": 0})
 
 
-def sandwich_check(a, p: float, d_diag, v) -> tuple[float, float]:
+def _gaussian_directions(d: int) -> np.ndarray:
+    return philox(_SANDWICH_SEED, stream=0).standard_normal((_SANDWICH_SAMPLES, d))
+
+
+def gaussian_norms(a, p: float) -> np.ndarray:
+    """||Ag||_p for each of :func:`sandwich_check`'s fixed Gaussian directions g.
+
+    They depend only on A and p, so a sweep computes them once per p and
+    hands them to every sandwich check at that p.
+    """
+    a = as_matrix(a, "a")
+    return _gaussian_norms(a, p, _gaussian_directions(a.shape[1]))
+
+
+def _gaussian_norms(a: np.ndarray, p: float, gauss: np.ndarray) -> np.ndarray:
+    """The norm pass over ``gauss`` in blocks of ``DIRECTION_BLOCK``, the last of 232.
+
+    The blocks share one chunk buffer, as the ascent's do.  :func:`pnorms`
+    would join the last 232 directions to the block before, and at 2000 rows
+    its 488-wide buffer raised the peak RSS of a lowner solve and its
+    evaluate() by 7 MB.
+    """
+    rows = min(a.shape[0], _ROW_CHUNK)
+    flat = np.empty(2 * rows * DIRECTION_BLOCK)
+    norms = []
+    for lo in range(0, gauss.shape[0], DIRECTION_BLOCK):
+        block = gauss[lo : lo + DIRECTION_BLOCK]
+        work = flat[: 2 * rows * block.shape[0]].reshape(2, rows, block.shape[0])
+        norms.append(_norm_pass(a, p, block, work=work)[0])
+    return np.concatenate(norms)
+
+
+def sandwich_check(a, p: float, d_diag, v, gaussian: np.ndarray | None = None) -> tuple[float, float]:
     """Extremes of ||Ax||_p / ||D V^T x||_2 over sampled directions.
 
     Directions are 1000 fixed Gaussian draws plus the 2d contracted
     vertex directions (the +-columns of V), evaluated in direction blocks.
-    For a valid factorization the returned pair satisfies lo >= 1 and
+    The Gaussian numerators are :func:`gaussian_norms` of (a, p): pass them as
+    ``gaussian`` if they are at hand, and they are computed here if not.
+    The axis numerators and every denominator belong to (D, V).  For a
+    valid factorization the returned pair satisfies lo >= 1 and
     hi <= sqrt(d) up to solver slack.
     """
     a = as_matrix(a, "a")
@@ -275,7 +313,13 @@ def sandwich_check(a, p: float, d_diag, v) -> tuple[float, float]:
     d = v.shape[0]
     if a.shape[1] != d or d_diag.shape[0] != d:
         raise ShapeMismatch("inconsistent shapes between a, d_diag, and v")
-    dirs = philox(_SANDWICH_SEED, stream=0).standard_normal((_SANDWICH_SAMPLES, d))
-    dirs = np.concatenate([dirs, v.T, -v.T], axis=0)
-    ratios = pnorms(a, p, dirs) / np.linalg.norm((dirs @ v) * d_diag[None, :], axis=1)
+    gauss = _gaussian_directions(d)
+    if gaussian is None:
+        gaussian = _gaussian_norms(a, p, gauss)
+    elif gaussian.shape != (_SANDWICH_SAMPLES,):
+        raise ShapeMismatch(f"gaussian must hold {_SANDWICH_SAMPLES} norms, got shape {gaussian.shape}")
+    axes = np.concatenate([v.T, -v.T], axis=0)
+    dirs = np.concatenate([gauss, axes], axis=0)
+    numerators = np.concatenate([gaussian, pnorms(a, p, axes)])
+    ratios = numerators / np.linalg.norm((dirs @ v) * d_diag[None, :], axis=1)
     return float(ratios.min()), float(ratios.max())

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import InvalidRank, NotCompressing, ShapeMismatch
-from .factor import RankKApprox, assemble, error_bounds, l2_low_rank
+from .factor import Method, RankKApprox, assemble, error_bounds, l2_low_rank
 from .lpsvd import sandwich_check
 from .matcore import as_matrix, entrywise_pnorm_pow
 
@@ -62,9 +62,11 @@ def evaluate(a, approx: RankKApprox, p: float, wall_time_ms: float = 0.0, seed: 
     """Score an approximation of ``a`` under the entry-wise p-norm."""
     a = as_matrix(a, "a")
     oriented = _oriented_input(a, approx)
-    baseline = l2_low_rank(a, approx.k)
+    [error_pp] = _error_sums(a, approx, [p])
+    [error_l2] = _error_sums(a, l2_low_rank(a, approx.k), [p])
     sandwich = sandwich_check(oriented, p, approx.sigmas, approx.full_v)
-    return _build_report(a, approx, p, baseline, sandwich, wall_time_ms, seed)
+    return _build_report(oriented.shape[0], approx.sigmas, approx.k, p, approx.method, approx.iterations,
+                         (error_pp, error_l2), sandwich, wall_time_ms, seed)
 
 
 def _oriented_input(a: np.ndarray, approx: RankKApprox) -> np.ndarray:
@@ -77,35 +79,41 @@ def _oriented_input(a: np.ndarray, approx: RankKApprox) -> np.ndarray:
     return a.T if approx.transposed else a
 
 
+def _error_sums(a: np.ndarray, approx: RankKApprox, ps) -> list[float]:
+    """sum |A - A_k|^p at each p of ``ps``, all from one residual in ``a``'s own layout."""
+    residual = a - assemble(approx)
+    return [entrywise_pnorm_pow(residual, p) for p in ps]
+
+
 def _build_report(
-    a: np.ndarray,
-    approx: RankKApprox,
+    n: int,
+    sigmas: np.ndarray,
+    k: int,
     p: float,
-    baseline: RankKApprox,
+    method: Method,
+    iterations: dict,
+    errors: tuple[float, float],
     sandwich: tuple[float, float],
     wall_time_ms: float,
     seed: int,
 ) -> EvalReport:
-    """The report of ``approx`` given the rank-k SVD ``baseline`` of ``a`` and the sandwich pair.
+    """The report of the rank-k truncation of an n x d factorization with singular values ``sigmas``.
 
-    The SVD and ``sandwich_check`` of a factorization do not depend on the
-    rank, so a sweep computes them once and passes them here for every rank;
-    :func:`evaluate` computes both fresh.  Both errors are summed over ``a``
-    in its own layout, so an svd row's two errors agree bit for bit, and a
-    ``baseline`` that is ``approx`` itself reuses the first sum.
+    ``errors`` holds its error and the rank-k SVD baseline's, both summed by
+    :func:`_error_sums`, and ``sandwich`` is :func:`sandwich_check` of the
+    factorization.  :func:`evaluate` computes all of them for one
+    approximation; a sweep computes each once and builds every row here.
     """
-    d = int(approx.sigmas.shape[0])
-    n = a.size // d
-    error_pp = entrywise_pnorm_pow(a - assemble(approx), p)
-    error_l2 = error_pp if baseline is approx else entrywise_pnorm_pow(a - assemble(baseline), p)
-    bounds = error_bounds(approx.sigmas, approx.k, p, d, n, approx.method)
+    d = int(sigmas.shape[0])
+    error_pp, error_l2 = errors
+    bounds = error_bounds(sigmas, k, p, d, n, method)
     lo, hi = sandwich
     return EvalReport(
         n=n,
         d=d,
-        k=approx.k,
+        k=k,
         p=float(p),
-        method=approx.method.value,
+        method=method.value,
         error_pp=float(error_pp),
         error_l2_baseline=float(error_l2),
         bound_lower=bounds.lower,
@@ -116,8 +124,8 @@ def _build_report(
         # Raw value, not gated: desk-scale shapes (for example 3x3 at k = 2)
         # are legitimately evaluated even when the factor pair is larger than
         # the input, in which case the rate goes negative.
-        compression_rate=_rate(n, d, approx.k),
-        iterations=dict(approx.iterations),
+        compression_rate=_rate(n, d, k),
+        iterations=dict(iterations),
         wall_time_ms=float(wall_time_ms),
         seed=int(seed),
     )

@@ -1,5 +1,6 @@
 import importlib
 import json
+from collections import defaultdict
 from dataclasses import asdict
 
 import numpy as np
@@ -183,13 +184,13 @@ def test_missing_subcommand_is_usage_error():
     assert main([]) == 1
 
 
-def _sweep_rows(tmp_path, a, workers):
+def _sweep_rows(tmp_path, a, workers, methods="lowner,randomized,svd"):
     path, rep_path = tmp_path / "in.lplr", tmp_path / f"sweep{workers}.json"
     store_matrix(path, a)
     code = main(
         [
             "sweep", "--input", str(path), "--ks", "2,5", "--ps", "1,2",
-            "--methods", "lowner,randomized,svd", "--seed", "5",
+            "--methods", methods, "--seed", "5",
             "--workers", str(workers), "--report", str(rep_path),
         ]
     )
@@ -206,22 +207,87 @@ def tall_matrix():
     return generate_synthetic(spec)
 
 
+def _oriented(tall_matrix, orientation):
+    return tall_matrix if orientation == "tall" else np.ascontiguousarray(tall_matrix.T)
+
+
+@pytest.mark.parametrize("methods", ["lowner,randomized,svd", "randomized", "lowner,randomized"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("orientation", ["tall", "wide"])
-def test_sweep_rows_equal_evaluate(tmp_path, tall_matrix, orientation, workers):
-    # The sweep shares one SVD and one sandwich check across ranks; every row
-    # must still be the report evaluate() gives for the same (k, p, method).
-    a = tall_matrix if orientation == "tall" else np.ascontiguousarray(tall_matrix.T)
-    rows = _sweep_rows(tmp_path, a, workers)
-    assert len(rows) == 12
+def test_sweep_rows_equal_evaluate(tmp_path, tall_matrix, orientation, workers, methods):
+    # The sweep shares one SVD, its error sums and the Gaussian sandwich
+    # numerators across all rows, with or without svd rows of its own; every
+    # row must still be the report evaluate() gives for the same (k, p, method).
+    a = _oriented(tall_matrix, orientation)
+    rows = _sweep_rows(tmp_path, a, workers, methods)
+    assert len(rows) == 4 * len(methods.split(","))
     for row in rows:
         approx = low_rank(a, row["k"], row["p"], row["method"])
         expected = asdict(evaluate(a, approx, row["p"], seed=5))
         expected.pop("wall_time_ms")
         assert row.pop("wall_time_ms") >= 0.0
+        assert row["error_l2_baseline"] == expected["error_l2_baseline"]
         assert row == expected
         if row["method"] == "svd":
             assert row["error_pp"] == row["error_l2_baseline"]
+
+
+def _counted_sweep(monkeypatch, tmp_path, a, wrapped):
+    """Rows of a --workers 1 randomized,svd sweep at p in {1, 2, 4}.
+
+    ``wrapped`` maps (module, function name) to a recorder that sees the
+    arguments of every call of that function.
+    """
+    for (module_name, name), record in wrapped.items():
+        module = importlib.import_module(module_name)
+        real = getattr(module, name)
+
+        def counting(*args, _real=real, _record=record, **kwargs):
+            _record(*args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    path, rep_path = tmp_path / "in.lplr", tmp_path / "sweep.json"
+    store_matrix(path, a)
+    argv = ["sweep", "--input", str(path), "--ks", "2,3,5", "--ps", "1,2,4", "--methods", "randomized,svd",
+            "--workers", "1", "--report", str(rep_path)]
+    assert main(argv) == 0
+    return json.loads(rep_path.read_text())
+
+
+@pytest.mark.parametrize("orientation", ["tall", "wide"])
+def test_sweep_runs_one_input_svd(monkeypatch, tmp_path, tall_matrix, orientation):
+    # Every row's baseline and every svd row come from one SVD of the
+    # oriented input; the conditioner's d x d SVDs of R are not the input's.
+    shapes = []
+    record = lambda m: shapes.append(m.shape)  # noqa: E731
+    _counted_sweep(monkeypatch, tmp_path, _oriented(tall_matrix, orientation),
+                   {("lplr.factor", "svd"): record, ("lplr.lpsvd", "svd"): record})
+    assert sorted(shapes) == [(9, 9)] * 3 + [(40, 9)]
+
+
+def test_sweep_makes_one_gaussian_pass_per_p(monkeypatch, tmp_path, tall_matrix):
+    # The sandwich check's 1000 Gaussian numerators depend only on A and p:
+    # one pass over them per p, in direction blocks.  The 2d axis directions
+    # belong to each factorization: one pass per (p, method).
+    gaussian, axes = defaultdict(int), []
+    _counted_sweep(monkeypatch, tmp_path, tall_matrix, {
+        ("lplr.lpsvd", "_norm_pass"): lambda a, p, points: gaussian.__setitem__(p, gaussian[p] + len(points)),
+        ("lplr.lpsvd", "pnorms"): lambda a, p, points: axes.append((p, len(points))),
+    })
+    assert gaussian == {1.0: 1000, 2.0: 1000, 4.0: 1000}
+    assert sorted(axes) == sorted([(p, 18) for p in (1.0, 2.0, 4.0)] * 2)
+
+
+def test_sweep_sums_each_error_once(monkeypatch, tmp_path, tall_matrix):
+    # A randomized row sums its own error; its baseline is the svd row's
+    # error at the same (k, p), summed once for both.
+    calls = []
+    rows = _counted_sweep(monkeypatch, tmp_path, tall_matrix,
+                          {("lplr.report", "entrywise_pnorm_pow"): lambda m, p: calls.append(p)})
+    assert len(rows) == len(calls) == 18
+    svd = {(r["k"], r["p"]): r["error_pp"] for r in rows if r["method"] == "svd"}
+    assert all(r["error_l2_baseline"] == svd[r["k"], r["p"]] for r in rows)
 
 
 @pytest.mark.parametrize("orientation", ["tall", "wide"])
@@ -345,13 +411,17 @@ def test_sweep_unknown_method_is_usage_error(tmp_path, synth_file, capsys):
 
 
 def _recorded_jobs(monkeypatch, synth_file, tmp_path, ks, ps, methods):
-    """(ks, p, method) of every sweep job, in the order the sweep starts them."""
+    """(ks, p, method) of every sweep job, in the order the sweep starts them.
+
+    Only non-svd (p, method) pairs are jobs: the svd rows are the parent's.
+    """
     jobs = []
 
     def record(payload):
-        _, job_ks, p, method, _ = payload
+        a, job_ks, p, method = payload
         jobs.append((job_ks, p, method.value))
-        return []
+        d = a.shape[1]
+        return cli_module._Part(p, method, np.ones(d), np.eye(d), {}, [])
 
     monkeypatch.setattr(cli_module, "_sweep_job", record)
     argv = ["sweep", "--input", str(synth_file), "--ks", ks, "--ps", ps, "--methods", methods,
@@ -363,12 +433,12 @@ def _recorded_jobs(monkeypatch, synth_file, tmp_path, ks, ps, methods):
 def test_sweep_starts_costliest_jobs_first(monkeypatch, synth_file, tmp_path):
     jobs = _recorded_jobs(monkeypatch, synth_file, tmp_path, "2", "1,2,4,1.5,3", "svd,randomized,lowner")
     order = [4.0, 3.0, 1.5, 1.0, 2.0]
-    assert [(p, m) for _, p, m in jobs] == [(p, m) for m in ("lowner", "randomized", "svd") for p in order]
+    assert [(p, m) for _, p, m in jobs] == [(p, m) for m in ("lowner", "randomized") for p in order]
 
 
 def test_sweep_drops_duplicate_grid_values(monkeypatch, synth_file, tmp_path):
-    jobs = _recorded_jobs(monkeypatch, synth_file, tmp_path, "4,2,2", "1,1.0,2", "svd,svd")
-    assert jobs == [([2, 4], 1.0, "svd"), ([2, 4], 2.0, "svd")]
+    jobs = _recorded_jobs(monkeypatch, synth_file, tmp_path, "4,2,2", "1,1.0,2", "randomized,randomized")
+    assert jobs == [([2, 4], 1.0, "randomized"), ([2, 4], 2.0, "randomized")]
 
 
 def test_sweep_duplicates_write_each_row_once(tmp_path, synth_file):

@@ -115,3 +115,29 @@ def test_sketch_span_covers_the_whole_fixed_point():
     summary = tracer.summary()
     assert summary["lpsvd.sketch"]["calls"] == 1
     assert summary["lpsvd.sketch"]["s"] <= summary["lpsvd.randomized_conditioner"]["s"]
+
+
+def test_traced_sweep_counts_jobs_and_sandwich_checks(tmp_path):
+    # A sweep's pool runs only the non-svd (p, method) jobs; the parent runs
+    # one sandwich check per factorization, svd included, on the Gaussian
+    # numerators it computed once per p.  In-process (--workers 1) the trace
+    # sees both layers.
+    from lplr.cli import main
+    from lplr.matio import store_matrix
+
+    a = generate_synthetic(SyntheticSpec(n=60, d=6, k_true=2, outlier_fraction=0.05, noise_sigma=0.01,
+                                         outlier_scale=20.0, seed=3))
+    path = tmp_path / "a.lplr"
+    store_matrix(path, a)
+    argv = ["sweep", "--input", str(path), "--ks", "2,3", "--ps", "1,1.5,2", "--methods", "lowner,randomized,svd",
+            "--workers", "1", "--report", str(tmp_path / "rep.json")]
+    tracer = load_layertrace().Tracer()
+    tracer.install()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["cli.sweep_job"]["calls"] == 3 * 2
+    assert summary["lpsvd.sandwich_check"]["calls"] == 3 * 3
+    assert tracer.useful("lpsvd.sandwich_check") == 3 * 3
