@@ -276,16 +276,14 @@ def _cmd_sweep(args) -> int:
     # Costliest jobs first: the pool starts jobs in submission order, so a long
     # job submitted last runs while the other workers sit idle.  lowner solves
     # cost most, then the randomized conditioner's Lewis fixed point.  Within
-    # a method, p outside {1, 2} goes first, then p = 1, and p = 2 last, where
-    # both lowner and the conditioner are closed forms; among p outside
-    # {1, 2}, larger p first.  A randomized job at 20000x32 with 8 ranks
-    # takes 0.15-0.25 s at p = 1, 1.5, 3 and 4 and 0.08-0.14 s at p = 2 (one
-    # BLAS thread, synth seeds 5000 and 41000).  Rows are sorted after the
-    # pool, so the order never reaches the output.
+    # a method, p = 2 goes last, where both lowner and the conditioner are
+    # closed forms, and larger p first among the rest.  A randomized job at
+    # 20000x32 with 8 ranks takes 0.15-0.25 s at p = 1, 1.5, 3 and 4 and
+    # 0.08-0.14 s at p = 2 (one BLAS thread, synth seeds 5000 and 41000).
+    # Rows are sorted after the pool, so the order never reaches the output.
     cost = {Method.LOWNER: 0, Method.RANDOMIZED: 1}
-    tier = {1.0: 1, 2.0: 2}
     jobs = sorted(((p, m) for p in ps for m in methods if m is not Method.SVD),
-                  key=lambda j: (cost[j[1]], tier.get(j[0], 0), -j[0]))
+                  key=lambda j: (cost[j[1]], j[0] == 2, -j[0]))
     payloads = [(a, ks, p, m) for p, m in jobs]
     if args.workers > 1 and payloads:
         # The workers fork at the first submission, before the parent
@@ -321,9 +319,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     _check_p(args.p, "--p")
-    a = load_matrix(args.input)
-    if a.shape[0] < a.shape[1]:
-        a = a.T
+    a, _ = orient(load_matrix(args.input))
     level = LevelSet(a, args.p)
     res = lowner(level, args.p)
     checks = []

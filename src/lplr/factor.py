@@ -27,8 +27,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidConfig, InvalidRank
-from .lpsvd import LpSvd, lp_svd, lp_svd_randomized
-from .matcore import as_matrix, frozen, svd
+from .lpsvd import LpSvd, _finish, lp_svd, lp_svd_randomized
+from .matcore import as_matrix, frozen, r_factor, svd
 
 
 class Method(str, Enum):
@@ -130,12 +130,14 @@ def truncate_factorization(fac: LpSvd, k: int, transposed: bool = False) -> Rank
 def l2_svd(a) -> LpSvd:
     """The classical SVD of a tall matrix as an LpSvd (p = 2, distortion 1).
 
-    Truncating it at k gives the optimal rank-k Frobenius approximation, so one
-    call serves every rank of a sweep.
+    D and V come from the SVD of A's d x d R-only QR factor, and U = A V D^-1.
+    No rank test runs, so a rank-deficient A factors too.  Truncating it at
+    k gives the optimal rank-k Frobenius approximation, so one call serves
+    every rank of a sweep.
     """
-    u, s, v = svd(a)
-    return LpSvd(U=u, D=s, V=v, p=2.0, distortion=1.0, method=Method.SVD.value,
-                 iterations={"central": 0, "shallow": 0, "refine": 0})
+    a = as_matrix(a, "a")
+    _, s, v = svd(r_factor(a))
+    return _finish(a, s, v, 2.0, 1.0, Method.SVD.value, {"central": 0, "shallow": 0, "refine": 0})
 
 
 def factorize(oriented: np.ndarray, p: float, method: Method | str) -> LpSvd:

@@ -31,8 +31,9 @@ enclosure L inside E holds at every checked point with margin.
 
 At p = 2 neither stage runs: L = {x : x^T A^T A x <= 1} is an ellipsoid and
 so its own Loewner ellipsoid.  D and V are A's singular values and right
-singular vectors, D shrunk by the same relative margin the certification
-applies, and ``logdet_trace`` is empty because no cut was made.
+singular vectors, from the SVD of the d x d R that :class:`LevelSet`
+holds, D shrunk by the same relative margin the certification applies, and
+``logdet_trace`` is empty because no cut was made.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ from .errors import (
     InvalidP,
     NoConvergence,
     NotPositiveDefinite,
-    RankDeficient,
     ShapeMismatch,
     SvdFailure,
     ZeroGradient,
 )
-from .matcore import as_matrix, as_vector, check_p, cholesky, frozen, svd, vector_pnorm
+from .matcore import as_matrix, as_vector, check_p, cholesky, frozen, full_rank_singular_values, r_factor, svd, vector_pnorm
 from .rng import philox
 
 #: Directions per block of every batched norm pass (:func:`_direction_blocks`).
@@ -154,19 +154,25 @@ def pnorms(a: np.ndarray, p: float, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LevelSet:
-    """The convex body L = {x in R^d : ||Ax||_p <= 1} for a full-rank A."""
+    """The convex body L = {x in R^d : ||Ax||_p <= 1} for A of full column rank.
+
+    ``r`` is A's R-only QR factor, whose singular values give the rank test
+    and ``sigma_min``.
+    """
 
     a: np.ndarray
     p: float
+    r: np.ndarray = field(init=False, repr=False)
     sigma_min: float = field(init=False)
 
     def __post_init__(self):
         a = as_matrix(self.a, "a")
         check_p(self.p)
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
-            raise RankDeficient("level set requires a matrix of full column rank")
-        object.__setattr__(self, "a", frozen(a))
+        a = frozen(a)
+        r = r_factor(a)
+        s = full_rank_singular_values(r)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "r", frozen(r))
         object.__setattr__(self, "sigma_min", float(s[-1]))
 
     @property
@@ -690,9 +696,9 @@ def lowner(a, p: float, cfg: LownerConfig | None = None) -> LownerResult:
         raise DimensionTooSmall("lowner requires dimension >= 2")
 
     if level.p == 2:
-        # D and V come from the SVD itself: recovered from F, D would lose
+        # D and V come from the SVD of A's R: recovered from F, D would lose
         # relative accuracy that grows like cond(A)^2.
-        _, s, v = svd(level.a)
+        _, s, v = svd(level.r)
         dvals = s / math.sqrt(1.0 + _CERT_MARGIN)
         final = Ellipsoid(np.zeros(level.dim), (v / (dvals * dvals)) @ v.T)
         central = shallow = fw_steps = 0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionTooSmall, NoConvergence, RankDeficient, ShapeMismatch, SvdFailure
 from .lowner import _ROW_CHUNK, DIRECTION_BLOCK, LownerConfig, _norm_pass, lowner, pnorms
-from .matcore import as_matrix, check_p, frozen, qr, svd
+from .matcore import as_matrix, check_p, frozen, full_rank_singular_values, qr, r_factor, svd
 from .rng import philox
 
 _SANDWICH_SAMPLES = 1000  # Gaussian directions of sandwich_check, besides the 2d axes
@@ -72,9 +72,11 @@ class ConditionerResult:
 
 
 def _finish(a: np.ndarray, dvals: np.ndarray, v: np.ndarray, p: float, distortion: float, method: str, iterations: dict) -> LpSvd:
-    u = a @ (v / dvals[None, :])  # (D V^T)^-1 = V D^-1
+    """The LpSvd with U = A V D^-1, checked to give U D V^T = A; a zero singular value gets a zero column of U."""
+    scaled = np.divide(v, dvals[None, :], out=np.zeros_like(v), where=dvals[None, :] != 0)
+    u = a @ scaled  # (D V^T)^-1 = V D^-1
     scale = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm((u * dvals[None, :]) @ v.T - a) > 1e-8 * scale:
+    if not np.linalg.norm((u * dvals[None, :]) @ v.T - a) <= 1e-8 * scale:  # also rejects a NaN residual
         raise SvdFailure("U D V^T failed to reproduce A within 1e-8")
     return LpSvd(U=u, D=dvals, V=v, p=p, distortion=distortion, method=method, iterations=iterations)
 
@@ -114,11 +116,19 @@ def _constants(tau: np.ndarray, s: np.ndarray, w: np.ndarray, p: float) -> tuple
     return gk, wsum**-e, gk ** (1.0 / p)
 
 
+def _whiten(rows: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, tau): U = rows R^-1 and tau_i = ||u_i||^2; RankDeficient if R does not invert."""
+    try:
+        u = rows @ np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        raise RankDeficient("triangular factor is singular") from None
+    return u, np.einsum("ij,ij->i", u, u)
+
+
 def _qr_leverages(rows: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, U, tau) of B = diag(s) rows: B's R-only QR factor, U = rows R^-1 and tau_i = ||u_i||^2."""
+    """(R, U, tau) of B = diag(s) rows: B's R-only QR factor and :func:`_whiten` of the rows by it."""
     r = qr(rows * s[:, None])
-    u = rows @ np.linalg.inv(r)
-    return r, u, np.einsum("ij,ij->i", u, u)
+    return (r, *_whiten(rows, r))
 
 
 def _gram_leverages(u: np.ndarray, s: np.ndarray) -> np.ndarray | None:
@@ -149,11 +159,12 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     [1 - alpha p/2, 1 - alpha], so it contracts at every p, where the plain
     step need not settle at p >= 4 and alpha = 1/2 does not at p >= 8.
     At p <= 6 that is w^(1/2) tau^(p/4).  It starts at w = 1, where an
-    R-only QR gives A's own factor R_A, which carries the rank test, and
-    U = A R_A^-1, A whitened.  Every later step factors the d x d matrix
-    U^T S^2 U = C^T C by Cholesky, since B^T B = R_A^T C^T C R_A, and reads
-    tau_i = ||u_i C^-1||^2 from U's rows; only if that Cholesky fails does the
-    step run an R-only QR of B, whose U = A R^-1 whitens the steps after it.
+    R-only QR gives A's own factor R_A, whose singular values carry the
+    rank test, and U = A R_A^-1, A whitened.  Every later step factors the
+    d x d matrix U^T S^2 U = C^T C by Cholesky, since
+    B^T B = R_A^T C^T C R_A, and reads tau_i = ||u_i C^-1||^2 from U's rows;
+    only if that Cholesky fails does the step run an R-only QR of B, whose
+    U = A R^-1 whitens the steps after it.
     It stops once s changes by at most _LEWIS_TOL relative on the rows with
     s > 0 (at p = 2, after one QR), or after _LEWIS_ITERS steps.  A row
     whose weight underflowed to 0, or whose tau fell below the smallest
@@ -182,31 +193,15 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
     # Without a zero row, A itself: the same values in the same C layout as
     # the masked copy, so R keeps its bits, and one n x d array fewer.
     rows = np.ascontiguousarray(a) if nonzero.all() else a[nonzero]
-    if rows.shape[0] < a.shape[1]:
-        raise RankDeficient("conditioner requires a matrix of full column rank")
+    r = r_factor(rows)  # the first step's B is A: R_A
+    full_rank_singular_values(r)
+    u, tau = _whiten(rows, r)
     e = 0.5 - 1.0 / p
     alpha = min(0.5, 4.0 / (p + 2.0))
-    w = np.ones(rows.shape[0])
-    u = None  # the rows whitened by the last QR's factor
+    s = w = np.ones(rows.shape[0])
     proved = None  # (R, lo, hi) of the last QR step whose constant is good
     pending = None  # (s, w) of a Cholesky step that stands, to be proved by a QR
-    for it in range(_LEWIS_ITERS):
-        s = w**e
-        s[w == 0] = 0.0  # a row of weight 0 is left out of B (at p < 2, s would be inf)
-        r = None
-        try:
-            tau = None if u is None else _gram_leverages(u, s)
-            if tau is None:
-                u = None  # freed before the QR allocates its own n x d arrays
-                r, u, tau = _qr_leverages(rows, s)
-        except (RankDeficient, np.linalg.LinAlgError):
-            if it == 0:
-                raise RankDeficient("conditioner requires a matrix of full column rank") from None
-            break  # these weights made B singular; the last step's constants stand
-        if it == 0:
-            sv = np.linalg.svd(r, compute_uv=False)  # A's singular values
-            if sv[-1] <= 1e-10 * sv[0]:
-                raise RankDeficient("conditioner requires a matrix of full column rank")
+    for step in range(1, _LEWIS_ITERS + 1):
         gk, lo, hi = _constants(tau, s, w, p)
         if _TINY <= gk < np.inf and hi < np.inf:  # a subnormal gk has lost its digits
             if r is None:
@@ -219,8 +214,19 @@ def _sketch(a: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
         else:
             w = w ** (1.0 - alpha) * tau ** (alpha * p / 2.0)
         w[tau < _TINY] = 0.0  # a leverage that underflowed is noise; its row leaves B
-        if not np.all(np.isfinite(w)) or np.max(np.abs(w[pos] ** e / s[pos] - 1.0)) <= _LEWIS_TOL:
+        if (step == _LEWIS_ITERS or not np.all(np.isfinite(w))
+                or np.max(np.abs(w[pos] ** e / s[pos] - 1.0)) <= _LEWIS_TOL):
             break
+        s = w**e
+        s[w == 0] = 0.0  # a row of weight 0 is left out of B (at p < 2, s would be inf)
+        r = None
+        try:
+            tau = _gram_leverages(u, s)
+            if tau is None:
+                u = None  # freed before the QR allocates its own n x d arrays
+                r, u, tau = _qr_leverages(rows, s)
+        except (RankDeficient, np.linalg.LinAlgError):
+            break  # these weights made B singular; the last step's constants stand
     if pending is not None:
         s, w = pending
         u = None  # freed before the final QR allocates its n x d arrays

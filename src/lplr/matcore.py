@@ -6,6 +6,10 @@ matrices travel as 1-D arrays of their entries.  The functions here wrap
 orientation preconditions, rank thresholds, sign conventions, and typed
 errors instead of bare ``LinAlgError``.
 
+An n x d input is factored once, into the d x d R of :func:`r_factor`, which
+has A's singular values and right singular vectors; the rank test and every
+SVD run on R.
+
 Everything is pure: inputs are never mutated and returned arrays are fresh.
 """
 
@@ -55,15 +59,24 @@ def check_p(p: float) -> None:
         raise InvalidP(f"p must be a finite number >= 1, got {p}")
 
 
+def _power_sum(y: np.ndarray, p: float):
+    """sum y_i^p over the non-negative entries of the scratch array y, which it overwrites.
+
+    At p = 1 and p = 2 no power is taken, with the same result.  Working in y
+    allocates no second array of its size.
+    """
+    if p == 1:
+        return y.sum()
+    if p == 2:
+        return np.multiply(y, y, out=y).sum()
+    return np.power(y, p, out=y).sum()
+
+
 def vector_pnorm(y: np.ndarray, p: float) -> float:
     """The p-norm (sum of |y_i|^p)^(1/p) for p >= 1."""
     check_p(p)
-    y = np.abs(np.asarray(y, dtype=np.float64))
-    if p == 1:
-        return float(y.sum())
-    if p == 2:
-        return float(np.sqrt((y * y).sum()))
-    return float((y**p).sum() ** (1.0 / p))
+    total = _power_sum(np.abs(np.asarray(y, dtype=np.float64)), p)
+    return float(total if p == 1 else np.sqrt(total) if p == 2 else total ** (1.0 / p))
 
 
 def entrywise_pnorm_pow(a, p: float) -> float:
@@ -73,8 +86,7 @@ def entrywise_pnorm_pow(a, p: float) -> float:
     invariant under transposition.  Zero exactly when ``a`` is all zeros.
     """
     check_p(p)
-    m = as_matrix(a, "a")
-    return float(np.sum(np.abs(m) ** p))
+    return float(_power_sum(np.abs(as_matrix(a, "a")), p))
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,7 +94,8 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(u, s, v)`` with ``a = u @ diag(s) @ v.T``, singular values
     ``s`` sorted non-increasing, and both ``u`` and ``v`` orthonormal.  The
-    reconstruction is verified to 1e-10 relative Frobenius error.
+    reconstruction is verified to 1e-10 relative Frobenius error.  The
+    library passes only d x d matrices, such as an input's R.
     """
     m = as_matrix(a, "a")
     n, d = m.shape
@@ -114,21 +127,43 @@ def cholesky(f) -> np.ndarray:
         raise NotPositiveDefinite("matrix has a non-positive pivot; not positive definite") from None
 
 
-def qr(a) -> np.ndarray:
-    """R factor of the reduced QR of a tall matrix, with a non-negative diagonal.
+def r_factor(a) -> np.ndarray:
+    """R factor of the reduced QR of a 2-D float64 array, with a non-negative diagonal.
 
-    R^T R = A^T A; Q is never formed.  Raises RankDeficient when any
-    diagonal entry of R falls below 1e-12 times the Frobenius norm of the
-    input.
+    R^T R = A^T A, and Q is never formed.  R has min(n, d) rows, and no
+    rank is checked.
+    """
+    r = np.linalg.qr(a, mode="r")
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return r * signs[:, None]
+
+
+def full_rank_singular_values(r) -> np.ndarray:
+    """Singular values of A from its :func:`r_factor` R, or RankDeficient: the library's rank test.
+
+    A is rank deficient when sigma_d <= 1e-10 sigma_1, where an R with fewer
+    than d rows has sigma_d = 0.  On tall inputs this values-only SVD of R
+    rounds exactly as the values-only SVD of A.
+    """
+    s = np.linalg.svd(r, compute_uv=False)
+    if s.shape[0] < r.shape[1] or s[-1] <= 1e-10 * s[0]:
+        raise RankDeficient("matrix is not of full column rank (sigma_d <= 1e-10 sigma_1)")
+    return s
+
+
+def qr(a) -> np.ndarray:
+    """:func:`r_factor` of a tall matrix, rejected when its diagonal is too small.
+
+    Raises RankDeficient when any diagonal entry of R falls below 1e-12
+    times the Frobenius norm of the input (a weighted B of the Lewis fixed
+    point).
     """
     m = as_matrix(a, "a")
     n, d = m.shape
     if n < d:
         raise ShapeMismatch(f"qr expects rows >= cols, got {n}x{d}")
-    r = np.linalg.qr(m, mode="r")
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    r = r * signs[:, None]
+    r = r_factor(m)
     if np.min(np.diag(r)) < 1e-12 * np.linalg.norm(m):
         raise RankDeficient("matrix is (numerically) rank deficient")
     return r

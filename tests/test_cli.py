@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from lplr.cli import main
-from lplr.factor import low_rank
+from lplr.errors import InvalidRank
+from lplr.factor import l2_low_rank, low_rank
 from lplr.lowner import LevelSet
 from lplr.matio import load_matrix, store_matrix
 from lplr.report import evaluate, report_from_json, reports_equal_modulo_time
@@ -258,12 +259,48 @@ def _counted_sweep(monkeypatch, tmp_path, a, wrapped):
 @pytest.mark.parametrize("orientation", ["tall", "wide"])
 def test_sweep_runs_one_input_svd(monkeypatch, tmp_path, tall_matrix, orientation):
     # Every row's baseline and every svd row come from one SVD of the
-    # oriented input; the conditioner's d x d SVDs of R are not the input's.
-    shapes = []
-    record = lambda m: shapes.append(m.shape)  # noqa: E731
+    # oriented input, taken as one R-only QR of it and the SVD of its 9 x 9 R;
+    # the conditioner's d x d SVDs are of its own R.
+    qrs, svds = [], []
     _counted_sweep(monkeypatch, tmp_path, _oriented(tall_matrix, orientation),
-                   {("lplr.factor", "svd"): record, ("lplr.lpsvd", "svd"): record})
-    assert sorted(shapes) == [(9, 9)] * 3 + [(40, 9)]
+                   {("lplr.factor", "r_factor"): lambda m: qrs.append(m.shape),
+                    ("lplr.factor", "svd"): lambda m: svds.append(m.shape),
+                    ("lplr.lpsvd", "svd"): lambda m: svds.append(m.shape)})
+    assert qrs == [(40, 9)]
+    assert svds == [(9, 9)] * 4
+
+
+def rank_deficient_gaussian(kind):
+    """A 50x6 Gaussian whose smallest singular value is rounding noise, or two of them zero."""
+    a = np.random.default_rng(0).standard_normal((50, 6))
+    if kind == "one zero column":
+        a[:, 3] = 0.0  # smallest singular value 2.4e-17
+    elif kind == "dependent column":
+        a[:, 5] = a[:, 0] + 2.0 * a[:, 1]
+    else:
+        a[:, [3, 4]] = 0.0
+    return a
+
+
+# The svd route runs no rank test: a rank-deficient input factors, with
+# finite factors, and reports unless error_bounds finds a singular value that
+# is not positive, the InvalidRank that exits 2.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("kind,code", [("one zero column", 0), ("dependent column", 0), ("two zero columns", 2)])
+def test_svd_route_on_rank_deficient_input(tmp_path, kind, code):
+    a = rank_deficient_gaussian(kind)
+    approx = l2_low_rank(a, 3)
+    for array in (approx.Dk, approx.left, approx.right, approx.sigmas, approx.full_v):
+        assert np.all(np.isfinite(array))
+    if code == 0:
+        rep = evaluate(a, approx, 1.0)
+        assert rep.error_pp == rep.error_l2_baseline
+    else:
+        with pytest.raises(InvalidRank):
+            evaluate(a, approx, 1.0)
+    path = tmp_path / "a.lplr"
+    store_matrix(path, a)
+    assert main(["baseline", "--input", str(path), "--rank", "3", "--p", "1"]) == code
 
 
 def test_sweep_makes_one_gaussian_pass_per_p(monkeypatch, tmp_path, tall_matrix):

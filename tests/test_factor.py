@@ -3,7 +3,9 @@ import pytest
 
 from lplr.errors import InvalidConfig, InvalidP, InvalidRank
 from lplr.factor import Method, assemble, error_bounds, factorize, l2_low_rank, lp_low_rank, low_rank, orient
+from lplr.lowner import lowner
 from lplr.matcore import entrywise_pnorm_pow
+from lplr.synth import SyntheticSpec, generate_synthetic
 
 from oracles import best_projection_residual_sq, mvee_axis_reciprocals
 
@@ -230,3 +232,34 @@ class TestFactorInvariants:
         a = np.random.default_rng(6).normal(size=(20, 4))
         assert low_rank(a, 2, 2.0, "svd").method is Method.SVD
         assert low_rank(a, 2, 1.0, "lowner").method is Method.LOWNER
+
+
+class TestOneFactorizationPerInput:
+    """Each path factors its n x d input once, by an R-only QR; every SVD is of a d x d matrix.
+
+    The randomized conditioner's QRs are counted by
+    ``test_lpsvd.py::TestAgainstTheAllQrFixedPoint::test_only_the_first_and_last_steps_run_a_qr``.
+    """
+
+    @staticmethod
+    def recorded(monkeypatch, run):
+        a = generate_synthetic(SyntheticSpec(n=200, d=8, k_true=2, outlier_fraction=0.05, noise_sigma=0.01,
+                                             outlier_scale=20.0, seed=3))
+        calls = []
+        for name in ("qr", "svd"):
+            real = getattr(np.linalg, name)
+
+            def recording(m, *args, _name=name, _real=real, **kwargs):
+                calls.append((_name, m.shape))
+                return _real(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        run(a)
+        return [name for name, shape in calls if shape == a.shape]
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_lowner(self, monkeypatch, p):
+        assert self.recorded(monkeypatch, lambda a: lowner(a, p)) == ["qr"]
+
+    def test_l2_low_rank(self, monkeypatch):
+        assert self.recorded(monkeypatch, lambda a: l2_low_rank(a, 3)) == ["qr"]

@@ -504,6 +504,10 @@ class TestLowner:
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
             lowner(np.outer(np.arange(1.0, 5.0), [1.0, 2.0]), 2.0)
+        # Fewer rows than columns: L is unbounded, and at p = 1 a ball came back.
+        for p in (1.0, 2.0):
+            with pytest.raises(RankDeficient):
+                lowner(np.random.default_rng(1).standard_normal((3, 5)), p)
 
     def test_level_set_p_must_match_argument(self):
         # A LevelSet carries its own p: lowner(LevelSet(a, 1), 4) must not

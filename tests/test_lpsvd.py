@@ -10,7 +10,7 @@ from lplr import SyntheticSpec, generate_synthetic, lpsvd
 from lplr.errors import NoConvergence, RankDeficient, ShapeMismatch
 from lplr.lowner import DIRECTION_BLOCK, LevelSet, LownerConfig
 from lplr.lpsvd import lp_svd, lp_svd_randomized, randomized_conditioner, sandwich_check
-from lplr.matcore import qr
+from lplr.matcore import full_rank_singular_values, qr
 from lplr.rng import philox
 
 from oracles import mvee_axis_reciprocals, reference_lewis, whitened_lower_ratio
@@ -329,7 +329,8 @@ class TestLewisConditionerAtLargeP:
     def test_a_failed_final_qr_keeps_the_last_qr_step(self, monkeypatch, p):
         # The standing Cholesky step is proved by a QR at the end; if that QR
         # fails, the last step that ran a QR stands, here the first: the same
-        # R and distortion as a cap of one step.
+        # R and distortion as a cap of one step.  The first step's R_A is not
+        # checked by qr (its rank test is), so the final QR is qr's one call.
         a = planted(400, 8, 7)
         monkeypatch.setattr(lpsvd, "_LEWIS_ITERS", 1)
         capped = randomized_conditioner(a, p)
@@ -338,13 +339,11 @@ class TestLewisConditionerAtLargeP:
 
         def failing_final_qr(m):
             calls.append(1)
-            if len(calls) == 2:
-                raise RankDeficient("matrix is (numerically) rank deficient")
-            return qr(m)
+            raise RankDeficient("matrix is (numerically) rank deficient")
 
         monkeypatch.setattr(lpsvd, "qr", failing_final_qr)
         cond = randomized_conditioner(a, p)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert cond.R.tobytes() == capped.R.tobytes()
         assert cond.distortion == capped.distortion
 
@@ -360,15 +359,23 @@ class TestLewisConditionerAtLargeP:
 def inject_step_failure(monkeypatch, failure, step):
     """Make step ``step`` of the Lewis fixed point fail in its factorization, its inverse, or its leverages.
 
-    The first step factors by QR and every later one by Cholesky, so a step
-    is counted at each QR or Cholesky call, except the QR that stands in for
-    a failed Cholesky.  A failing factorization fails on both routes: the
-    step's Cholesky and then its QR fallback.
+    The first step factors A, and its rank test decides whether that
+    factor stands; every later one factors by Cholesky.  So a step is
+    counted at the rank test and at each QR or Cholesky call, except the QR
+    that stands in for a failed Cholesky.  A failing factorization fails the
+    first step's rank test, or on both routes of a later step: its Cholesky
+    and then its QR fallback.
     """
     calls = []
     fallback = []
     real_inv = np.linalg.inv
     real_cholesky = np.linalg.cholesky
+
+    def failing_rank_test(r):
+        calls.append(1)
+        if len(calls) == step:
+            raise RankDeficient("matrix is not of full column rank (sigma_d <= 1e-10 sigma_1)")
+        return full_rank_singular_values(r)
 
     def failing_qr(m):
         if fallback:
@@ -395,6 +402,7 @@ def inject_step_failure(monkeypatch, failure, step):
         return real_inv(m)
 
     if failure == "rank":
+        monkeypatch.setattr(lpsvd, "full_rank_singular_values", failing_rank_test)
         monkeypatch.setattr(lpsvd, "qr", failing_qr)
         monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     else:
@@ -472,15 +480,17 @@ class TestAgainstTheAllQrFixedPoint:
     def test_only_the_first_and_last_steps_run_a_qr(self, monkeypatch, p, count):
         # The fixed point takes 6-28 steps here; the layer trace times only
         # the whole of _sketch, so the QR count pins where its time went.
+        a = planted(2000, 16, 5)
         calls = []
+        real_qr = np.linalg.qr
 
-        def counting_qr(m):
+        def counting_qr(m, *args, **kwargs):
             calls.append(m.shape)
-            return qr(m)
+            return real_qr(m, *args, **kwargs)
 
-        monkeypatch.setattr(lpsvd, "qr", counting_qr)
-        randomized_conditioner(planted(2000, 16, 5), p)
-        assert len(calls) == count
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        randomized_conditioner(a, p)
+        assert calls == [a.shape] * count
 
     @pytest.mark.parametrize("p,cholesky", [(2.0, "real"), (1.5, "failing"), (4.0, "failing")])
     @pytest.mark.parametrize("layout", ["C-ordered", "F-ordered", "zero rows"])
@@ -554,6 +564,8 @@ class TestConditionerEdgeInputs:
                 LevelSet(a, p)
             with pytest.raises(RankDeficient):
                 randomized_conditioner(a, p)
+        LevelSet(self.conditioned(1e9), p)
+        randomized_conditioner(self.conditioned(1e9), p)
 
     @pytest.mark.parametrize("cond_number", [1e6, 1e9])
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])

@@ -27,6 +27,10 @@ class TestEntrywisePnormPow:
         a = rng.integers(-5, 6, size=(3, 3)).astype(float)
         for p in (1.0, 1.5, 2.0, 3.0):
             assert matcore.entrywise_pnorm_pow(a, p) == pytest.approx(pnorm_pow_loops(a, p), rel=1e-12)
+        # p = 1 and p = 2 raise nothing to a power, and sum the same bits as the power would.
+        for b in (a, rng.standard_normal((2000, 32))):
+            for p in (1.0, 2.0):
+                assert matcore.entrywise_pnorm_pow(b, p) == float(np.sum(np.abs(b) ** p))
 
     def test_rejects_p_below_one(self):
         with pytest.raises(InvalidP):
